@@ -39,11 +39,19 @@ def main():
                 continue
             if worst is None or float(inst.rel_residual) > float(worst):
                 worst = inst.rel_residual
+        if worst is None:
+            # left out of the grid-wide worst: there is nothing to compare
+            print(f"(i={i:+d}, j={j:+d})  no converged sample among "
+                  f"{args.per_cell} samples")
+            continue
         print(f"(i={i:+d}, j={j:+d})  worst rel residual over "
               f"{args.per_cell} samples: {mpmath.nstr(worst, 4)}")
         if worst_overall is None or float(worst) > float(worst_overall):
             worst_overall = worst
-    print(f"\nworst over the whole grid: {mpmath.nstr(worst_overall, 6)}")
+    if worst_overall is None:
+        print("\nno cell of the grid has a converged sample")
+    else:
+        print(f"\nworst over the whole grid: {mpmath.nstr(worst_overall, 6)}")
     return 0
 
 

@@ -23,7 +23,8 @@ def main():
     ap.add_argument("--digits", type=int, default=30)
     ap.add_argument("--samples", type=int, default=50)
     ap.add_argument("--seed", type=lambda s: int(s, 0), default=0xC0FFEE)
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--threads", type=int, default=1,
+                    help="number of worker processes (default 1)")
     ap.add_argument("--out", default="suite_report.json")
     args = ap.parse_args()
 

@@ -3,7 +3,9 @@
 Exit codes: 0 pass, 1 refuted or divergent, 2 usage or I/O trouble,
 3 inconclusive.  All randomness is seeded and every report embeds the full
 run configuration, so identical invocations produce byte-identical output
-regardless of --threads.
+regardless of --threads.  Despite its name, --threads sets the number of worker
+processes (a ProcessPoolExecutor) that evaluate relation instances; 1 runs
+everything in this process.
 """
 
 from __future__ import annotations
@@ -93,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", dest="out_path", default=None,
                         help="write the report to this path instead of stdout")
     common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="parallel evaluation degree (results are thread-count independent)")
+                        help="number of worker processes evaluating instances (a process pool, "
+                             "despite the name; 1 runs in this process); reports do "
+                             "not depend on it")
 
     parser = argparse.ArgumentParser(
         prog="watsonlab",

@@ -5,29 +5,51 @@ Terms are always generated through the ratio recurrence
     t_{n+1} / t_n = prod_i (a_i + n) * z / ( prod_j (b_j + n) * (n + 1) ),
 
 never through quotients of factorials, so the work per term is O(1) and a zero
-numerator factor truncates the series exactly.
+numerator factor truncates the series exactly.  Exact (Fraction) sums go
+through one rational loop; every floating-point route draws its terms from one
+generator, :func:`_terms`, which works on raw libmp tuples.  Each of its
+operations rounds to nearest at the ambient precision in the same order as the
+mpf expression ``t * num / den * z``, so it yields the same bits as the
+operator form at a fraction of the interpreter overhead.
 
 At unit argument the tail decays algebraically like n**-(1+s) where s is the
 parametric excess (sum of denominator parameters minus sum of numerator
 parameters).  Direct summation is used when its tail bound can reach the
 requested tolerance within the term budget; otherwise partial sums are fed to
 a Levin-type sequence extrapolation that carries its own error estimate.
+
+The Levin weights depend only on (order k, index n, beta, working precision),
+never on the series, so they are memoised in :class:`_LevinCoefficients`: one
+list per (k, beta, precision), filled lazily on first use and holding exactly
+the values :func:`_levin_coeff` rounds.  The memo holds at most
+``_LEVIN_MEMO_CAP`` coefficients in all; the oldest precision is evicted to make
+room, and a row that cannot fit even then is computed without being stored.
+The tableau update runs on the same raw tuples with the same roundings.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Tuple
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import (finf, fone, fzero, from_int, mpf_abs, mpf_add, mpf_div,
+                          mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_sub,
+                          round_nearest)
 
 from .mpnum import PrecisionCtx, as_rational, to_mpf_ambient
 
 DIRECT_MAX_TERMS = 10_000
 ACCEL_MAX_PARTIAL_SUMS = 2_000
 _ACCEL_START = 32
+_LEVIN_MEMO_CAP = 1 << 16      # Levin coefficients memoised at once, all precisions together
+
+_RND = round_nearest           # the rounding mode of every mpf operator
+_make_mpf = mpmath.mp.make_mpf
 
 
 class SeriesError(ValueError):
@@ -159,6 +181,11 @@ def eval_exact(f: PFQ) -> Fraction:
     if m is None:
         raise NotTerminating("no numerator is a nonpositive integer")
     _check_denominators(f, m, guard=0)
+    return _exact_sum(f, m)
+
+
+def _exact_sum(f: PFQ, m: int) -> Fraction:
+    """Sum of the terms n = 0..m of a series with rational data, in Fractions."""
     z = as_rational(f.argument)
     nums = [as_rational(a) for a in f.numerators]
     dens = [as_rational(b) for b in f.denominators]
@@ -174,6 +201,36 @@ def eval_exact(f: PFQ) -> Fraction:
     return total
 
 
+def _terms(nums, dens, z, prec: int):
+    """Raw mpf terms t_0 = 1, t_1, ... with t_{n+1} = t_n * num_n / den_n [* z].
+
+    num_n = prod(a + n) and den_n = (n + 1) prod(b + n).  nums, dens and z are
+    raw mpf tuples, z None at unit argument.  Every step rounds to nearest at
+    prec in the order of the mpf expression ``t * num / den * z``, so the terms
+    are bit for bit those of the operator form.
+    """
+    t = fone
+    n = 0
+    while True:
+        yield t
+        fn = from_int(n)
+        num = fone
+        for a in nums:
+            num = mpf_mul(num, mpf_add(a, fn, prec, _RND), prec, _RND)
+        den = from_int(n + 1, prec, _RND)
+        for b in dens:
+            den = mpf_mul(den, mpf_add(b, fn, prec, _RND), prec, _RND)
+        t = mpf_div(mpf_mul(t, num, prec, _RND), den, prec, _RND)
+        if z is not None:
+            t = mpf_mul(t, z, prec, _RND)
+        n += 1
+
+
+def _raw(values) -> list:
+    """Raw mpf tuples of values converted at the ambient precision."""
+    return [to_mpf_ambient(v)._mpf_ for v in values]
+
+
 def _round_to_ctx(ctx: PrecisionCtx, x) -> mpf:
     with ctx.working():
         return +to_mpf_ambient(x)
@@ -183,37 +240,19 @@ def _finite_sum_result(f: PFQ, ctx: PrecisionCtx, m: int) -> EvalResult:
     if f.all_rational():
         # sum n = 0..m directly; m may come from guard proximity, in which case
         # the near-integer numerator is deliberately treated as that integer
-        z = as_rational(f.argument)
-        nums = [as_rational(a) for a in f.numerators]
-        dens = [as_rational(b) for b in f.denominators]
-        t = Fraction(1)
-        exact = Fraction(1)
-        for n in range(m):
-            for a in nums:
-                t *= a + n
-            for b in dens:
-                t /= b + n
-            t = t * z / (n + 1)
-            exact += t
+        exact = _exact_sum(f, m)
         value = ctx.mpf(exact)
         bound = abs(value) * mpf(10) ** (-ctx.digits) if value != 0 else mpf(0)
         return EvalResult(value, _round_to_ctx(ctx, bound), m + 1, "exact_rational",
                           True, exact_value=exact)
     with ctx.working(10):
-        nums = [to_mpf_ambient(a) for a in f.numerators]
-        dens = [to_mpf_ambient(b) for b in f.denominators]
-        z = to_mpf_ambient(f.argument)
-        t = mpf(1)
-        total = mpf(1)
-        for n in range(m):
-            num = mpf(1)
-            for a in nums:
-                num *= a + n
-            den = mpf(n + 1)
-            for b in dens:
-                den *= b + n
-            t = t * num / den * z
-            total += t
+        prec = mpmath.mp.prec
+        terms = _terms(_raw(f.numerators), _raw(f.denominators),
+                       to_mpf_ambient(f.argument)._mpf_, prec)
+        total = next(terms)
+        for t in islice(terms, m):
+            total = mpf_add(total, t, prec, _RND)
+        total = _make_mpf(total)
         bound = abs(total) * mpf(10) ** (-(ctx.digits + 2))
     return EvalResult(_round_to_ctx(ctx, total), _round_to_ctx(ctx, bound),
                       m + 1, "direct", True)
@@ -271,35 +310,44 @@ def eval_general(f: PFQ, ctx: PrecisionCtx, tol=None, max_terms: Optional[int] =
     if max_terms is None:
         max_terms = DIRECT_MAX_TERMS
     with ctx.working(10):
-        nums = [to_mpf_ambient(a) for a in f.numerators]
-        dens = [to_mpf_ambient(b) for b in f.denominators]
-        z = to_mpf_ambient(f.argument)
-        t = mpf(1)
-        total = mpf(1)
-        bound = mpmath.inf
+        prec = mpmath.mp.prec
+        nums = _raw(f.numerators)
+        dens = _raw(f.denominators)
+        z = to_mpf_ambient(f.argument)._mpf_
+        q_floor = z_abs._mpf_
+        rel_floor = (mpf(10) ** (-(ctx.digits + 4)))._mpf_
+        tol_r = tol._mpf_
+        terms = _terms(nums, dens, z, prec)
+        total = next(terms)
+        bound = finf
         used = 1
         for n in range(max_terms):
-            num = mpf(1)
-            for a in nums:
-                num *= a + n
-            den = mpf(n + 1)
-            for b in dens:
-                den *= b + n
-            t = t * num / den * z
-            total += t
+            t = next(terms)
+            total = mpf_add(total, t, prec, _RND)
             used = n + 2
-            # geometric tail: future ratios head toward |z| < 1
-            rnum = mpf(1)
+            # geometric tail: future ratios head toward |z| < 1; the factors
+            # are (a + n) + 1 with two roundings, not a + (n + 1) with one
+            fn = from_int(n)
+            rnum = fone
             for a in nums:
-                rnum *= a + n + 1
-            rden = mpf(n + 2)
+                rnum = mpf_mul(rnum, mpf_add(mpf_add(a, fn, prec, _RND), fone, prec, _RND),
+                               prec, _RND)
+            rden = from_int(n + 2, prec, _RND)
             for b in dens:
-                rden *= b + n + 1
-            q = max(abs(rnum / rden * z), z_abs)
-            if q < 1:
-                bound = 2 * abs(t) * q / (1 - q) + abs(total) * mpf(10) ** (-(ctx.digits + 4))
-                if bound <= tol:
+                rden = mpf_mul(rden, mpf_add(mpf_add(b, fn, prec, _RND), fone, prec, _RND),
+                               prec, _RND)
+            q = mpf_abs(mpf_mul(mpf_div(rnum, rden, prec, _RND), z, prec, _RND), prec, _RND)
+            if mpf_gt(q_floor, q):
+                q = q_floor
+            if mpf_lt(q, fone):
+                # 2 |t| q / (1 - q) + |total| 10^-(digits+4)
+                head = mpf_mul(mpf_mul_int(mpf_abs(t, prec, _RND), 2, prec, _RND), q, prec, _RND)
+                bound = mpf_add(mpf_div(head, mpf_sub(fone, q, prec, _RND), prec, _RND),
+                                mpf_mul(mpf_abs(total, prec, _RND), rel_floor, prec, _RND),
+                                prec, _RND)
+                if mpf_le(bound, tol_r):
                     break
+        total, bound = _make_mpf(total), _make_mpf(bound)
     return EvalResult(_round_to_ctx(ctx, total), _round_to_ctx(ctx, bound), used,
                       "direct", bool(bound <= tol))
 
@@ -307,50 +355,111 @@ def eval_general(f: PFQ, ctx: PrecisionCtx, tol=None, max_terms: Optional[int] =
 def _direct_unit(f: PFQ, ctx: PrecisionCtx, tol, max_terms: int, s) -> Optional[EvalResult]:
     """Direct summation for excess s > 1; None when tol is out of reach in budget."""
     with ctx.working(10):
-        nums = [to_mpf_ambient(a) for a in f.numerators]
-        dens = [to_mpf_ambient(b) for b in f.denominators]
-        t = mpf(1)
-        total = mpf(1)
+        prec = mpmath.mp.prec
+        s = to_mpf_ambient(s)
+        tol = to_mpf_ambient(tol)
+        s_r, tol_r = s._mpf_, tol._mpf_
+        rel_floor = (mpf(10) ** (-(ctx.digits + 4)))._mpf_
+        terms = _terms(_raw(f.numerators), _raw(f.denominators), None, prec)
+        total = next(terms)
+        abs_t = total
         decreasing = 0
-        bound = mpmath.inf
+        bound = finf
         used = 1
         for n in range(max_terms):
-            num = mpf(1)
-            for a in nums:
-                num *= a + n
-            den = mpf(n + 1)
-            for b in dens:
-                den *= b + n
-            t_next = t * num / den
-            decreasing = decreasing + 1 if abs(t_next) < abs(t) else 0
-            t = t_next
-            total += t
+            t = next(terms)
+            abs_next = mpf_abs(t, prec, _RND)
+            decreasing = decreasing + 1 if mpf_lt(abs_next, abs_t) else 0
+            abs_t = abs_next
+            total = mpf_add(total, t, prec, _RND)
             used = n + 2
             if decreasing >= 8 and n >= 24:
-                # tail of an n**-(1+s) decay compares against the integral: ~ |t| * n / s
-                bound = 2 * abs(t) * (n + 2) / s + abs(total) * mpf(10) ** (-(ctx.digits + 4))
-                if bound <= tol:
+                # tail of an n**-(1+s) decay compares against the integral: ~ |t| * n / s,
+                # as 2 |t| (n + 2) / s + |total| 10^-(digits+4)
+                head = mpf_mul_int(mpf_mul_int(abs_t, 2, prec, _RND), n + 2, prec, _RND)
+                bound = mpf_add(mpf_div(head, s_r, prec, _RND),
+                                mpf_mul(mpf_abs(total, prec, _RND), rel_floor, prec, _RND),
+                                prec, _RND)
+                if mpf_le(bound, tol_r):
                     break
                 if n >= 64 and n % 32 == 0:
                     # projected index where the bound reaches tol
-                    needed = (n + 2) * (bound / tol) ** (1 / s)
+                    needed = (n + 2) * (_make_mpf(bound) / tol) ** (1 / s)
                     if needed > max_terms:
                         return None
-        if bound > tol:
+        if mpf_gt(bound, tol_r):
             return None
+        total, bound = _make_mpf(total), _make_mpf(bound)
     return EvalResult(_round_to_ctx(ctx, total), _round_to_ctx(ctx, bound), used,
                       "direct", True)
 
 
-def _levin_coeff(k: int, n: int, beta: int = 1) -> mpf:
-    # (beta+n) (beta+n+k-1)^(k-2) / (beta+n+k)^(k-1), exact integer powers
+def _levin_coeff(k: int, n: int, beta: int, prec: int) -> tuple:
+    """(beta+n) (beta+n+k-1)^(k-2) / (beta+n+k)^(k-1) as a raw mpf at prec.
+
+    Numerator and denominator are exact integers, each rounded to prec before
+    the rounded division, as ``mpf(p) / mpf(q)`` does.
+    """
     if k == 1:
-        return mpf(1)
-    return mpf((beta + n) * (beta + n + k - 1) ** (k - 2)) / mpf((beta + n + k) ** (k - 1))
+        return fone
+    p = (beta + n) * (beta + n + k - 1) ** (k - 2)
+    q = (beta + n + k) ** (k - 1)
+    return mpf_div(from_int(p, prec, _RND), from_int(q, prec, _RND), prec, _RND)
+
+
+class _LevinCoefficients:
+    """Lazily filled memo of Levin coefficients, one list over n per (k, beta, prec).
+
+    At most ``cap`` coefficients are held.  Room is made by evicting whole
+    precisions, oldest first; a row that would not fit even alone with its own
+    precision is returned without being stored.  Rows are replaced, never
+    extended in place, so a reader never sees a half-built row.
+    """
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.size = 0
+        self._tables = {}      # (beta, prec) -> {k: [coefficient for n = 0, 1, ...]}
+        self._sizes = {}       # (beta, prec) -> coefficients held for it
+        self._lock = threading.Lock()
+
+    def row(self, k: int, beta: int, prec: int, length: int) -> list:
+        """Coefficients for n = 0 .. length-1 (at least) at order k."""
+        table = self._tables.get((beta, prec))
+        row = table.get(k) if table is not None else None
+        if row is not None and len(row) >= length:
+            return row
+        with self._lock:
+            return self._fill(k, beta, prec, length)
+
+    def _fill(self, k, beta, prec, length) -> list:
+        key = (beta, prec)
+        table = self._tables.get(key, {})
+        old = table.get(k, [])
+        if len(old) >= length:
+            return old
+        row = old + [_levin_coeff(k, n, beta, prec) for n in range(len(old), length)]
+        extra = len(row) - len(old)
+        if self._sizes.get(key, 0) + extra > self.cap:
+            return row
+        for other in list(self._tables):
+            if self.size + extra <= self.cap:
+                break
+            if other != key:
+                del self._tables[other]
+                self.size -= self._sizes.pop(other)
+        table[k] = row
+        self._tables[key] = table
+        self._sizes[key] = self._sizes.get(key, 0) + extra
+        self.size += extra
+        return row
+
+
+_LEVIN_COEFFS = _LevinCoefficients(_LEVIN_MEMO_CAP)
 
 
 def _levin_scan(terms, tol, beta: int = 1):
-    """Levin u-type extrapolation over the partial sums of ``terms``.
+    """Levin u-type extrapolation over the partial sums of ``terms`` (raw mpf tuples).
 
     The estimate at order k is trusted by the spread of the last two orders,
     bound = 2 (|e_k - e_{k-1}| + |e_{k-1} - e_{k-2}|); the returned order
@@ -358,31 +467,35 @@ def _levin_scan(terms, tol, beta: int = 1):
     the bound on its own.  Scanning stops early only after three consecutive
     orders already agree within tol/4, which forces bound <= tol at the break.
     """
+    prec = mpmath.mp.prec
     M = len(terms)
-    partial = []
-    acc = mpf(0)
-    for t in terms:
-        acc += t
-        partial.append(acc)
-    N = [partial[n] / ((beta + n) * terms[n]) for n in range(M)]
-    D = [mpf(1) / ((beta + n) * terms[n]) for n in range(M)]
+    N, D = [], []
+    acc = fzero
+    for n, t in enumerate(terms):
+        acc = mpf_add(acc, t, prec, _RND)
+        weight = mpf_mul_int(t, beta + n, prec, _RND)
+        N.append(mpf_div(acc, weight, prec, _RND))
+        D.append(mpf_div(fone, weight, prec, _RND))
     prev_est = None
     gaps = [mpmath.inf]
     ests = [None]
     small_streak = 0
+    quarter_tol = tol / 4
     for k in range(1, M):
+        coeffs = _LEVIN_COEFFS.row(k, beta, prec, M - k)
         for n in range(M - k):
-            b = _levin_coeff(k, n, beta)
-            N[n] = N[n + 1] - b * N[n]
-            D[n] = D[n + 1] - b * D[n]
-        est = N[0] / D[0] if D[0] != 0 else None
+            b = coeffs[n]
+            N[n] = mpf_sub(N[n + 1], mpf_mul(b, N[n], prec, _RND), prec, _RND)
+            D[n] = mpf_sub(D[n + 1], mpf_mul(b, D[n], prec, _RND), prec, _RND)
+        d0 = _make_mpf(D[0])
+        est = _make_mpf(N[0]) / d0 if d0 != 0 else None
         ests.append(est)
         if est is None or prev_est is None:
             gaps.append(mpmath.inf)
         else:
             gap = abs(est - prev_est)
             gaps.append(gap)
-            small_streak = small_streak + 1 if gap <= tol / 4 else 0
+            small_streak = small_streak + 1 if gap <= quarter_tol else 0
             if small_streak >= 3 and k >= 6:
                 break
         if est is not None:
@@ -408,21 +521,10 @@ def _accelerated_unit(f: PFQ, ctx: PrecisionCtx, tol, max_partial: int) -> EvalR
     value, bound = None, mpmath.inf
     while True:
         internal = target_digits + int(0.55 * M) + 15
-        with mpmath.workprec(int(internal * 3.3322) + 20):
-            nums = [to_mpf_ambient(a) for a in f.numerators]
-            dens = [to_mpf_ambient(b) for b in f.denominators]
-            t = mpf(1)
-            terms = [t]
-            for n in range(M - 1):
-                num = mpf(1)
-                for a in nums:
-                    num *= a + n
-                den = mpf(n + 1)
-                for b in dens:
-                    den *= b + n
-                t = t * num / den
-                terms.append(t)
-            value, bound, _ = _levin_scan(terms, tol)
+        prec = int(internal * 3.3322) + 20
+        with mpmath.workprec(prec):
+            terms = _terms(_raw(f.numerators), _raw(f.denominators), None, prec)
+            value, bound, _ = _levin_scan(list(islice(terms, M)), tol)
         if value is not None and bound <= tol:
             break
         if M >= max_partial:

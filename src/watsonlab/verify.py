@@ -740,24 +740,21 @@ EXPECTED_IDENTITY = tuple(r for r in SUITE_ORDER
 # ---------------------------------------------------------------------------
 # verdicts and orchestration
 
-def _evaluate_task(relation_id: str, kind: str, idx: int, seed: int,
+def _evaluate_task(relation_id: str, kind: str, sample, seed: int,
                    ctx: PrecisionCtx, window) -> RelationInstance:
+    """Evaluate one instance; a random sample arrives as its index and is drawn
+    here, probes and grid points arrive as their sample dicts."""
     rel = RELATIONS[relation_id]
-    tol = adjudication_tol(ctx)
-    if kind == "probe":
-        sample = rel.probes(ctx)[idx]
-    elif kind == "grid":
-        sample = rel.fixed_grid(ctx)[idx]
-    else:
-        sample = rel.build_sample(idx, seed, ctx, window)
-    inst = rel.evaluate(sample, ctx, tol)
+    if kind == "sample":
+        sample = rel.build_sample(sample, seed, ctx, window)
+    inst = rel.evaluate(sample, ctx, adjudication_tol(ctx))
     return replace(inst, kind=kind)
 
 
 def _task_worker(args) -> RelationInstance:
-    relation_id, kind, idx, seed, digits, pole_guard, w_lo, w_hi = args
+    relation_id, kind, sample, seed, digits, pole_guard, w_lo, w_hi = args
     ctx = PrecisionCtx(digits=digits, pole_guard=pole_guard)
-    return _evaluate_task(relation_id, kind, idx, seed, ctx, (w_lo, w_hi))
+    return _evaluate_task(relation_id, kind, sample, seed, ctx, (w_lo, w_hi))
 
 
 def _run_tasks(tasks, threads: int):
@@ -785,18 +782,18 @@ def check_relation(relation_id: str, n_samples: int, seed: int, ctx: PrecisionCt
         raise UnknownRelation(relation_id)
     rel = RELATIONS[relation_id]
     rel_seed = _relation_seed(seed, relation_id)
+    # probes and grid points are built once here and travel with their tasks;
+    # random samples are drawn by index inside the workers
     if rel.fixed_grid is not None:
-        grid_n = len(rel.fixed_grid(ctx))
-        tasks = [(relation_id, "grid", k, rel_seed, ctx.digits, ctx.pole_guard,
-                  window[0], window[1]) for k in range(grid_n)]
-        minimum = grid_n
+        grid = rel.fixed_grid(ctx)
+        work = [("grid", p) for p in grid]
+        minimum = len(grid)
     else:
-        n_probes = len(rel.probes(ctx))
-        tasks = ([(relation_id, "probe", k, rel_seed, ctx.digits, ctx.pole_guard,
-                   window[0], window[1]) for k in range(n_probes)]
-                 + [(relation_id, "sample", k, rel_seed, ctx.digits, ctx.pole_guard,
-                     window[0], window[1]) for k in range(n_samples)])
+        work = ([("probe", p) for p in rel.probes(ctx)]
+                + [("sample", k) for k in range(n_samples)])
         minimum = n_samples
+    tasks = [(relation_id, kind, sample, rel_seed, ctx.digits, ctx.pole_guard,
+              window[0], window[1]) for kind, sample in work]
     instances = [reindexed(inst, k) for k, inst in enumerate(_run_tasks(tasks, threads))]
 
     identity_floor = 10.0 ** (-ctx.digits / 3)

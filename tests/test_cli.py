@@ -149,3 +149,28 @@ def test_suite_out_path_failure(capsys):
                        "--out", "/nonexistent-dir/report.json")
     assert code == 2
     assert "cannot write" in err
+
+
+def test_residual_sweep_cell_without_converged_sample(capsys, monkeypatch):
+    import importlib.util
+    import sys
+    from dataclasses import replace
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "residual_sweep.py"
+    spec = importlib.util.spec_from_file_location("residual_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    real = sweep.recurrence_residual
+
+    def residual(p, ctx, tol=None):
+        inst = real(p, ctx, tol=tol)
+        return replace(inst, converged=False) if (p.i, p.j) == (0, 0) else inst
+
+    monkeypatch.setattr(sweep, "recurrence_residual", residual)
+    monkeypatch.setattr(sys, "argv", ["residual_sweep.py", "--digits", "15",
+                                      "--per-cell", "1"])
+    assert sweep.main() == 0
+    out = capsys.readouterr().out
+    assert "(i=+0, j=+0)  no converged sample among 1 samples" in out
+    assert "worst over the whole grid: " in out

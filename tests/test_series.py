@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
-from watsonlab.mpnum import PrecisionCtx
-from watsonlab.series import (PFQ, ArgumentNotUnity, DivergentSeries,
+from watsonlab import series
+from watsonlab.mpnum import PrecisionCtx, to_mpf_ambient
+from watsonlab.series import (PFQ, ArgumentNotUnity, DivergentSeries, EvalResult,
                               NonRationalInput, NotTerminating, OutsideRadius,
                               SeriesError, _accelerated_unit, _direct_unit,
                               convergence_margin, eval_exact, eval_general,
@@ -211,3 +212,300 @@ def test_term_ratio_recurrence_exact(a1, a2, b1, b2, n):
 
     ratio = (nums[0] + n) * (nums[1] + n) * z / ((dens[0] + n) * (dens[1] + n) * (n + 1))
     assert term(n + 1) == term(n) * ratio
+
+
+# ---------------------------------------------------------------------------
+# bit exactness of the raw-libmp kernel against the mpf operator form
+#
+# Frozen copy of the mpf loops the kernel replaced: the Levin coefficient, the
+# tableau, and the term recurrence of the direct, accelerated and general
+# routes.  The kernel must reproduce every rounding, so results compare with ==.
+
+def _frozen_round(ctx, x):
+    with ctx.working():
+        return +to_mpf_ambient(x)
+
+
+def _frozen_levin_coeff(k, n, beta=1):
+    if k == 1:
+        return mpf(1)
+    return mpf((beta + n) * (beta + n + k - 1) ** (k - 2)) / mpf((beta + n + k) ** (k - 1))
+
+
+def _frozen_levin_scan(terms, tol, beta=1):
+    M = len(terms)
+    partial = []
+    acc = mpf(0)
+    for t in terms:
+        acc += t
+        partial.append(acc)
+    N = [partial[n] / ((beta + n) * terms[n]) for n in range(M)]
+    D = [mpf(1) / ((beta + n) * terms[n]) for n in range(M)]
+    prev_est = None
+    gaps = [mpmath.inf]
+    ests = [None]
+    small_streak = 0
+    for k in range(1, M):
+        for n in range(M - k):
+            b = _frozen_levin_coeff(k, n, beta)
+            N[n] = N[n + 1] - b * N[n]
+            D[n] = D[n + 1] - b * D[n]
+        est = N[0] / D[0] if D[0] != 0 else None
+        ests.append(est)
+        if est is None or prev_est is None:
+            gaps.append(mpmath.inf)
+        else:
+            gap = abs(est - prev_est)
+            gaps.append(gap)
+            small_streak = small_streak + 1 if gap <= tol / 4 else 0
+            if small_streak >= 3 and k >= 6:
+                break
+        if est is not None:
+            prev_est = est
+    best_k = None
+    best_pair = mpmath.inf
+    for k in range(4, len(gaps)):
+        if ests[k] is None:
+            continue
+        pair = gaps[k] + gaps[k - 1]
+        if pair < best_pair:
+            best_pair = pair
+            best_k = k
+    if best_k is None:
+        return None, mpmath.inf, 0
+    return ests[best_k], 2 * best_pair, best_k
+
+
+def _frozen_accelerated_unit(f, ctx, tol, max_partial):
+    target_digits = max(ctx.digits, int(-mpmath.log10(tol)) + 2)
+    M = min(32, max_partial)
+    value, bound = None, mpmath.inf
+    while True:
+        internal = target_digits + int(0.55 * M) + 15
+        with mpmath.workprec(int(internal * 3.3322) + 20):
+            nums = [to_mpf_ambient(a) for a in f.numerators]
+            dens = [to_mpf_ambient(b) for b in f.denominators]
+            t = mpf(1)
+            terms = [t]
+            for n in range(M - 1):
+                num = mpf(1)
+                for a in nums:
+                    num *= a + n
+                den = mpf(n + 1)
+                for b in dens:
+                    den *= b + n
+                t = t * num / den
+                terms.append(t)
+            value, bound, _ = _frozen_levin_scan(terms, tol)
+        if value is not None and bound <= tol:
+            break
+        if M >= max_partial:
+            break
+        M = min(2 * M, max_partial)
+    return EvalResult(_frozen_round(ctx, value), _frozen_round(ctx, bound), M,
+                      "accelerated", bool(bound <= tol))
+
+
+def _frozen_direct_unit(f, ctx, tol, max_terms, s):
+    with ctx.working(10):
+        nums = [to_mpf_ambient(a) for a in f.numerators]
+        dens = [to_mpf_ambient(b) for b in f.denominators]
+        t = mpf(1)
+        total = mpf(1)
+        decreasing = 0
+        bound = mpmath.inf
+        used = 1
+        for n in range(max_terms):
+            num = mpf(1)
+            for a in nums:
+                num *= a + n
+            den = mpf(n + 1)
+            for b in dens:
+                den *= b + n
+            t_next = t * num / den
+            decreasing = decreasing + 1 if abs(t_next) < abs(t) else 0
+            t = t_next
+            total += t
+            used = n + 2
+            if decreasing >= 8 and n >= 24:
+                bound = 2 * abs(t) * (n + 2) / s + abs(total) * mpf(10) ** (-(ctx.digits + 4))
+                if bound <= tol:
+                    break
+                if n >= 64 and n % 32 == 0:
+                    needed = (n + 2) * (bound / tol) ** (1 / s)
+                    if needed > max_terms:
+                        return None
+        if bound > tol:
+            return None
+    return EvalResult(_frozen_round(ctx, total), _frozen_round(ctx, bound), used,
+                      "direct", True)
+
+
+def _frozen_finite_sum(f, ctx, m):
+    with ctx.working(10):
+        nums = [to_mpf_ambient(a) for a in f.numerators]
+        dens = [to_mpf_ambient(b) for b in f.denominators]
+        z = to_mpf_ambient(f.argument)
+        t = mpf(1)
+        total = mpf(1)
+        for n in range(m):
+            num = mpf(1)
+            for a in nums:
+                num *= a + n
+            den = mpf(n + 1)
+            for b in dens:
+                den *= b + n
+            t = t * num / den * z
+            total += t
+        bound = abs(total) * mpf(10) ** (-(ctx.digits + 2))
+    return EvalResult(_frozen_round(ctx, total), _frozen_round(ctx, bound),
+                      m + 1, "direct", True)
+
+
+def _frozen_eval_general(f, ctx, tol):
+    tol = ctx.mpf(tol)
+    m = termination_degree(f, ctx.pole_guard)
+    if m is not None:
+        return _frozen_finite_sum(f, ctx, m)
+    with ctx.working(8):
+        z_abs = abs(to_mpf_ambient(f.argument))
+    with ctx.working(10):
+        nums = [to_mpf_ambient(a) for a in f.numerators]
+        dens = [to_mpf_ambient(b) for b in f.denominators]
+        z = to_mpf_ambient(f.argument)
+        t = mpf(1)
+        total = mpf(1)
+        bound = mpmath.inf
+        used = 1
+        for n in range(10_000):
+            num = mpf(1)
+            for a in nums:
+                num *= a + n
+            den = mpf(n + 1)
+            for b in dens:
+                den *= b + n
+            t = t * num / den * z
+            total += t
+            used = n + 2
+            rnum = mpf(1)
+            for a in nums:
+                rnum *= a + n + 1
+            rden = mpf(n + 2)
+            for b in dens:
+                rden *= b + n + 1
+            q = max(abs(rnum / rden * z), z_abs)
+            if q < 1:
+                bound = 2 * abs(t) * q / (1 - q) + abs(total) * mpf(10) ** (-(ctx.digits + 4))
+                if bound <= tol:
+                    break
+    return EvalResult(_frozen_round(ctx, total), _frozen_round(ctx, bound), used,
+                      "direct", bool(bound <= tol))
+
+
+def _same(new, old):
+    assert new is not None and old is not None
+    assert new.value == old.value
+    assert new.abs_err_bound == old.abs_err_bound
+    assert new.terms_used == old.terms_used
+    assert new.method == old.method
+    assert new.converged == old.converged
+
+
+def _watson_points(ctx, seed, count, s_lo=0.75, s_hi=3.0):
+    """Seeded f_{i,j} points with excess in [s_lo, s_hi]: (f, s) pairs."""
+    rng = random.Random(seed)
+    out = []
+    with ctx.working():
+        while len(out) < count:
+            a = mpf(rng.uniform(0.1, 3.0))
+            b = mpf(rng.uniform(0.1, 3.0))
+            s = mpf(rng.uniform(s_lo, s_hi))
+            i, j = rng.randint(-3, 3), rng.randint(-2, 2)
+            c = s - j - mpf(i + 1) / 2 + (a + b) / 2
+            f = F3((a, b, c), ((a + b + i + 1) / 2, 2 * c + j))
+            if any(ctx.near_nonpos_int(v) is not None for v in f.numerators + f.denominators):
+                continue
+            out.append((f, s))
+    return out
+
+
+@pytest.mark.parametrize("digits, tol_exp, seed", [(30, -20, 7), (100, -55, 11)])
+def test_accelerated_bit_exact(digits, tol_exp, seed):
+    ctx = PrecisionCtx(digits=digits)
+    tol = ctx.mpf(mpf(10) ** tol_exp)
+    used = set()
+    for f, _ in _watson_points(ctx, seed, 6):
+        new = _accelerated_unit(f, ctx, tol, 2000)
+        _same(new, _frozen_accelerated_unit(f, ctx, tol, 2000))
+        used.add(new.terms_used)
+    if digits == 30:
+        # the seeded set covers the first order and one restart at doubled M
+        assert {32, 64} <= used
+
+
+def test_direct_bit_exact_success_and_abandon():
+    ctx = PrecisionCtx(digits=30)
+    outcomes = []
+    for tol in (mpf(10) ** -6, mpf(10) ** -20):
+        for f, s in _watson_points(ctx, 3, 4, s_lo=1.5, s_hi=3.0):
+            new = _direct_unit(f, ctx, tol, 10_000, s)
+            old = _frozen_direct_unit(f, ctx, tol, 10_000, s)
+            assert (new is None) == (old is None)
+            if new is not None:
+                _same(new, old)
+            outcomes.append(new is not None)
+    assert any(outcomes) and not all(outcomes)
+
+
+@pytest.mark.parametrize("digits", [30, 100])
+def test_eval_general_bit_exact(digits):
+    ctx = PrecisionCtx(digits=digits)
+    tol = mpf(10) ** -(digits // 2 + 5)
+    rng = random.Random(digits)
+    with ctx.working(8):
+        for _ in range(4):
+            a, b = mpf(rng.uniform(0.1, 3.0)), mpf(rng.uniform(0.1, 3.0))
+            x = mpf(rng.uniform(0.01, 0.28))
+            for f in (F3((2 * a, 2 * b), (a + b + mpf(1) / 2,), x),
+                      F3((a, b), (a + b + mpf(1) / 2,), 4 * x * (1 - x))):
+                _same(eval_general(f, ctx, tol=tol), _frozen_eval_general(f, ctx, tol))
+        # terminating with inexact data: the floating-point finite sum
+        f = F3((mpf("-6.02"), a), (b + 1,), x)
+        _same(eval_general(f, ctx, tol=tol), _frozen_eval_general(f, ctx, tol))
+
+
+def test_finite_sum_unit_argument_bit_exact():
+    ctx = PrecisionCtx(digits=30)
+    with ctx.working():
+        f = F3((mpf("-3.98"), mpf("1.3"), mpf("0.7")), (mpf("2.9"), mpf("4.1")))
+    _same(eval_unit(f, ctx), _frozen_finite_sum(f, ctx, 4))
+
+
+def test_levin_coefficients_equal_mpf_form():
+    for prec in (113, 226, 286):
+        with mpmath.workprec(prec):
+            for k in range(1, 40):
+                row = series._LEVIN_COEFFS.row(k, 1, prec, 40 - k)
+                assert [mpmath.mp.make_mpf(c) for c in row[:40 - k]] == \
+                    [_frozen_levin_coeff(k, n) for n in range(40 - k)]
+
+
+def test_levin_memo_stays_within_cap(monkeypatch):
+    ctx = PrecisionCtx(digits=30)
+    points = _watson_points(ctx, 5, 3)
+    for digits in (20, 30, 45):
+        c = PrecisionCtx(digits=digits)
+        for f, _ in points:
+            eval_unit(f, c)
+    assert 0 < series._LEVIN_COEFFS.size <= series._LEVIN_MEMO_CAP
+    # a small cap forces evictions and rows too long to store; values stay exact
+    small = series._LevinCoefficients(600)
+    monkeypatch.setattr(series, "_LEVIN_COEFFS", small)
+    tol = ctx.mpf(mpf(10) ** -20)
+    for digits in (20, 30, 45):
+        c = PrecisionCtx(digits=digits)
+        for f, _ in points:
+            _same(_accelerated_unit(f, c, tol, 2000),
+                  _frozen_accelerated_unit(f, c, tol, 2000))
+            assert small.size <= 600
+    assert len(small._tables) <= 2

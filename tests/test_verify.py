@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -186,5 +187,30 @@ def test_suite_order_and_expectations():
 def test_parallel_tasks_match_sequential():
     seq = check_relation("case_1_0", 6, 0xC0FFEE, FAST, threads=1)
     par = check_relation("case_1_0", 6, 0xC0FFEE, FAST, threads=2)
+    assert json.dumps(seq.as_dict(include_samples=True)) == \
+        json.dumps(par.as_dict(include_samples=True))
+
+
+@pytest.mark.parametrize("relation_id, field", [("case_1_0", "probes"),
+                                                ("debranges", "fixed_grid")])
+def test_samples_built_once_per_check(monkeypatch, relation_id, field):
+    rel = RELATIONS[relation_id]
+    build = getattr(rel, field)
+    calls = []
+
+    def counted(ctx):
+        calls.append(ctx)
+        return build(ctx)
+
+    monkeypatch.setitem(RELATIONS, relation_id, replace(rel, **{field: counted}))
+    rep = check_relation(relation_id, 4, 0xC0FFEE, FAST)
+    assert len(calls) == 1
+    assert rep.samples
+
+
+def test_debranges_grid_matches_across_process_counts():
+    # a probe-carrying relation is compared in test_parallel_tasks_match_sequential
+    seq = check_relation("debranges", 0, 0xC0FFEE, FAST, threads=1)
+    par = check_relation("debranges", 0, 0xC0FFEE, FAST, threads=2)
     assert json.dumps(seq.as_dict(include_samples=True)) == \
         json.dumps(par.as_dict(include_samples=True))
