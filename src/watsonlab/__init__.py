@@ -19,5 +19,4 @@ from .lattice import (DivergentPoint, PreconditionViolation, ReductionPlan,
                       three_term_printed, to_pfq)
 from .report import RelationInstance, RelationReport
 from .verify import (RELATIONS, SUITE_ORDER, SamplingExhausted, UnknownRelation,
-                     check_debranges, check_macrobert, check_relation,
-                     check_thomae, run_suite, sample_params)
+                     check_debranges, check_relation, run_suite, sample_params)

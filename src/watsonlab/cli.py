@@ -150,8 +150,7 @@ def _emit(text: str, out_path: Optional[str]) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    cfg = _config_from(args)
+def _cmd_eval(args, cfg: RunConfig) -> int:
     ctx = cfg.ctx()
     point = WatsonPoint(args.a, args.b, args.c, args.i, args.j)
     try:
@@ -220,8 +219,7 @@ def _csv_text(reports) -> str:
     return buf.getvalue()
 
 
-def _cmd_check(args) -> int:
-    cfg = _config_from(args)
+def _cmd_check(args, cfg: RunConfig) -> int:
     ctx = cfg.ctx()
     try:
         report = verify.check_relation(args.relation_id, cfg.samples, cfg.seed, ctx,
@@ -256,8 +254,7 @@ def suite_document(reports, cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_suite(args) -> int:
-    cfg = _config_from(args)
+def _cmd_suite(args, cfg: RunConfig) -> int:
     ctx = cfg.ctx()
     reports = verify.run_suite(cfg.seed, ctx, samples=cfg.samples, threads=cfg.threads)
     if cfg.output == "csv":
@@ -272,8 +269,7 @@ def _cmd_suite(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_reduce(args) -> int:
-    cfg = _config_from(args)
+def _cmd_reduce(args, cfg: RunConfig) -> int:
     ctx = cfg.ctx()
     if args.i != 0 or args.j < 0:
         print("error: reduction is defined for i = 0 and j >= 0", file=sys.stderr)
@@ -308,14 +304,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg_check = _config_from(args)
+        cfg = _config_from(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    del cfg_check
     handler = {"eval": _cmd_eval, "check": _cmd_check,
                "suite": _cmd_suite, "reduce": _cmd_reduce}[args.command]
-    return handler(args)
+    return handler(args, cfg)
 
 
 def entry():

@@ -25,7 +25,7 @@ from mpmath import mpf
 
 from . import closedform
 from .mpnum import NumeratorPole, PrecisionCtx, as_rational, to_mpf_ambient
-from .report import RelationInstance
+from .report import RelationInstance, finish_instance
 from .series import (PFQ, DivergentSeries, EvalResult, eval_unit,
                      termination_degree)
 
@@ -186,26 +186,6 @@ def _combine_relation(ctx, lhs_terms, rhs_terms, exact_ok):
         return +lhs, +rhs, +bound
 
 
-def _finish_instance(relation_id, p, ctx, lhs, rhs, bound, converged, exact) -> RelationInstance:
-    if exact:
-        abs_res = abs(lhs - rhs)
-        scale = max(abs(lhs), abs(rhs), Fraction(1))
-        rel_res = abs_res / scale
-        rel_bound = Fraction(0)
-    else:
-        with ctx.working(8):
-            abs_res = abs(to_mpf_ambient(lhs) - to_mpf_ambient(rhs))
-            scale = max(abs(to_mpf_ambient(lhs)), abs(to_mpf_ambient(rhs)), mpf(1))
-            rel_res = +(abs_res / scale)
-            rel_bound = +(to_mpf_ambient(bound) / scale)
-            abs_res = +abs_res
-    return RelationInstance(
-        relation_id=relation_id, index=0, kind="probe",
-        lattice_indices=(p.i, p.j), params=p.params(),
-        lhs=lhs, rhs=rhs, abs_residual=abs_res, rel_residual=rel_res,
-        eval_bounds=rel_bound, converged=converged, exact=exact)
-
-
 def recurrence_residual(p: WatsonPoint, ctx: PrecisionCtx, tol=None,
                         relation_id: str = "recurrence_16") -> RelationInstance:
     """Residual of the main recurrence at (i, j):
@@ -254,8 +234,8 @@ def recurrence_residual(p: WatsonPoint, ctx: PrecisionCtx, tol=None,
         [(mult, v_up[0], v_up[1])],
         [(mult, v_base[0], v_base[1]), (neg_coeff, v_shift[0], v_shift[1])],
         all_exact)
-    inst = _finish_instance(relation_id, p, ctx, lhs, rhs, bound, converged, all_exact)
-    return inst
+    return finish_instance(relation_id, p.params(), (p.i, p.j), ctx, lhs, rhs, bound,
+                           converged, all_exact)
 
 
 def _three_term(p: WatsonPoint, ctx: PrecisionCtx, tol, printed: bool,
@@ -304,7 +284,8 @@ def _three_term(p: WatsonPoint, ctx: PrecisionCtx, tol, printed: bool,
         [(1, v_main[0], v_main[1])],
         [(w2, v_left[0], v_left[1]), (coeff, v_cross[0], v_cross[1])],
         all_exact)
-    return _finish_instance(relation_id, p, ctx, lhs, rhs, bound, converged, all_exact)
+    return finish_instance(relation_id, p.params(), (p.i, p.j), ctx, lhs, rhs, bound,
+                           converged, all_exact)
 
 
 def three_term_printed(p: WatsonPoint, ctx: PrecisionCtx, tol=None) -> RelationInstance:

@@ -19,6 +19,7 @@ from typing import Optional, Sequence, Union
 
 import mpmath
 from mpmath import mpf
+from mpmath.libmp import from_float, from_int, mpf_abs, mpf_le, mpf_sub, round_nearest, to_int
 
 XReal = mpf
 Realish = Union[int, float, str, Fraction, mpf]
@@ -60,6 +61,25 @@ def to_mpf_ambient(x) -> mpf:
     return +mpf(x)
 
 
+def nearest_nonpos_int(x, guard) -> Optional[int]:
+    """The nonpositive integer k with |x - k| <= guard, or None.
+
+    The distance is never rounded: exact (int/Fraction) inputs are compared as
+    rationals, anything else as its mpf at the ambient precision, whose raw
+    difference from k is formed exactly and compared with the exact binary
+    value of guard.
+    """
+    if not isinstance(x, mpf):
+        r = as_rational(x)
+        if r is not None:
+            k = min(0, round(r))
+            return k if abs(r - k) <= Fraction(guard) else None
+        x = to_mpf_ambient(x)
+    v = x._mpf_
+    k = min(0, to_int(v, round_nearest))
+    return k if mpf_le(mpf_abs(mpf_sub(v, from_int(k))), from_float(guard)) else None
+
+
 @dataclass(frozen=True)
 class PrecisionCtx:
     """Working precision (decimal digits) plus the pole-detection guard."""
@@ -96,18 +116,9 @@ class PrecisionCtx:
             return +mpf(s)
 
     def near_nonpos_int(self, x) -> Optional[int]:
-        """The nonpositive integer within pole_guard of x, or None.
-
-        Exact inputs are tested exactly; mpf inputs at their own precision.
-        """
-        r = as_rational(x)
-        if r is not None:
-            k = min(0, round(r))
-            return k if abs(r - k) <= Fraction(self.pole_guard) else None
-        with self.working(8):
-            v = mpf(x) if not isinstance(x, mpf) else x
-            k = min(0, int(mpmath.nint(v)))
-            return k if abs(v - k) <= self.pole_guard else None
+        """The nonpositive integer within pole_guard of x, or None; see
+        :func:`nearest_nonpos_int`."""
+        return nearest_nonpos_int(x, self.pole_guard)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,9 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 import mpmath
+from mpmath import mpf
+
+from .mpnum import PrecisionCtx, to_mpf_ambient
 
 _FMT_DIGITS = 20
 
@@ -61,6 +64,31 @@ class RelationInstance:
             "exact": self.exact,
             "note": self.note,
         }
+
+
+def finish_instance(relation_id: str, params: dict, lattice_indices, ctx: PrecisionCtx,
+                    lhs, rhs, bound, converged: bool, exact: bool = False) -> RelationInstance:
+    """The instance with both sides, its residuals, and bound on the relative scale.
+
+    Two Fraction sides give exact residuals and bounds.  Otherwise each value is
+    read as an mpf and every rounding happens inside ctx.working(8).
+    """
+    if isinstance(lhs, Fraction) and isinstance(rhs, Fraction):
+        abs_res = abs(lhs - rhs)
+        scale = max(abs(lhs), abs(rhs), Fraction(1))
+        rel_res = abs_res / scale
+        rel_bound = bound / scale
+    else:
+        with ctx.working(8):
+            abs_res = abs(to_mpf_ambient(lhs) - to_mpf_ambient(rhs))
+            scale = max(abs(to_mpf_ambient(lhs)), abs(to_mpf_ambient(rhs)), mpf(1))
+            rel_res = +(abs_res / scale)
+            rel_bound = +(to_mpf_ambient(bound) / scale)
+            abs_res = +abs_res
+    return RelationInstance(
+        relation_id=relation_id, index=0, kind="probe", lattice_indices=lattice_indices,
+        params=params, lhs=lhs, rhs=rhs, abs_residual=abs_res, rel_residual=rel_res,
+        eval_bounds=rel_bound, converged=converged, exact=exact)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from mpmath.libmp import (finf, fone, fzero, from_int, mpf_abs, mpf_add, mpf_div
                           mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_sub,
                           round_nearest)
 
-from .mpnum import PrecisionCtx, as_rational, to_mpf_ambient
+from .mpnum import PrecisionCtx, as_rational, nearest_nonpos_int, to_mpf_ambient
 
 DIRECT_MAX_TERMS = 10_000
 ACCEL_MAX_PARTIAL_SUMS = 2_000
@@ -107,16 +107,6 @@ class EvalResult:
     exact_value: Optional[Fraction] = None
 
 
-def _nearest_nonpos_int(x, guard) -> Optional[int]:
-    r = as_rational(x)
-    if r is not None:
-        k = min(0, round(r))
-        return k if abs(r - k) <= Fraction(guard) else None
-    v = to_mpf_ambient(x)
-    k = min(0, int(mpmath.nint(v)))
-    return k if abs(v - k) <= guard else None
-
-
 def convergence_margin(f: PFQ):
     """Parametric excess s = sum(denominators) - sum(numerators) at unit argument.
 
@@ -155,7 +145,7 @@ def termination_degree(f: PFQ, pole_guard: float = 0.05) -> Optional[int]:
     """
     best = None
     for a in f.numerators:
-        k = _nearest_nonpos_int(a, pole_guard)
+        k = nearest_nonpos_int(a, pole_guard)
         if k is not None and (best is None or -k < best):
             best = -k
     return best
@@ -163,7 +153,7 @@ def termination_degree(f: PFQ, pole_guard: float = 0.05) -> Optional[int]:
 
 def _check_denominators(f: PFQ, degree: Optional[int], guard: float):
     for d in f.denominators:
-        k = _nearest_nonpos_int(d, guard)
+        k = nearest_nonpos_int(d, guard)
         if k is None:
             continue
         if degree is None or -k < degree:

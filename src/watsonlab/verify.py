@@ -13,6 +13,12 @@ without seed archaeology.
 
 Relation instances are always evaluated series-side only; closed forms being
 adjudicated never shortcut their own verification.
+
+One verdict rule serves every relation, grids included.  Over the converged
+instances: a residual above both 0.01 and 100 x its evaluation bounds, or an
+exact instance with a nonzero residual, is a counterexample and gives
+not_identity; every residual inside max(10^(-digits/3), 100 x its bounds) with
+enough converged instances gives identity; anything else is inconclusive.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import concurrent.futures
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 import mpmath
@@ -27,8 +34,9 @@ from mpmath import mpf
 
 from . import closedform, lattice
 from .closedform import FORM_IDS
-from .mpnum import NumeratorPole, PrecisionCtx, gamma_product, to_mpf_ambient
-from .report import RelationInstance, RelationReport, reindexed
+from .mpnum import (NumeratorPole, PrecisionCtx, gamma_product, nearest_nonpos_int,
+                    to_mpf_ambient)
+from .report import RelationInstance, RelationReport, finish_instance, reindexed
 from .series import (PFQ, DivergentSeries, SeriesError, eval_exact,
                      eval_general, eval_unit)
 
@@ -106,12 +114,6 @@ class SampleConstraints:
     s_hi: float = 3.0
 
 
-def _near_nonpos(v, guard: float) -> bool:
-    x = float(to_mpf_ambient(v))
-    k = min(0, round(x))
-    return abs(x - k) <= guard
-
-
 def sample_params(seed: int, index: int, constraints: SampleConstraints,
                   ctx: PrecisionCtx) -> Tuple[mpf, mpf, mpf]:
     """Deterministic parameter triple for sample `index` of a relation.
@@ -134,7 +136,8 @@ def sample_params(seed: int, index: int, constraints: SampleConstraints,
                 tightest = min(margins)
                 if not (constraints.s_lo - 1e-9 <= tightest <= constraints.s_hi + 1e-9):
                     continue
-            if any(_near_nonpos(v, guard) for v in constraints.pole_args(a, b, c)):
+            if any(nearest_nonpos_int(v, guard) is not None
+                   for v in constraints.pole_args(a, b, c)):
                 continue
             if any(abs(float(to_mpf_ambient(v))) < guard for v in constraints.zero_args(a, b, c)):
                 continue
@@ -243,11 +246,6 @@ def _thomae_constraints() -> SampleConstraints:
 
 # --- evaluators -------------------------------------------------------------
 
-def _formula_bound(value, ctx: PrecisionCtx) -> mpf:
-    with ctx.working():
-        return +(abs(to_mpf_ambient(value)) * mpf(10) ** (6 - ctx.digits))
-
-
 def _failed_instance(relation_id, params, lattice_indices, note) -> RelationInstance:
     return RelationInstance(
         relation_id=relation_id, index=0, kind="probe",
@@ -274,39 +272,24 @@ def _closed_form_instance(form_id: str, sample: dict, ctx: PrecisionCtx, tol) ->
     exact = series.exact_value is not None
     rhs = series.exact_value if exact else series.value
     with ctx.working(8):
-        lhs_m = to_mpf_ambient(formula)
-        rhs_m = to_mpf_ambient(rhs)
-        abs_res = abs(lhs_m - rhs_m)
-        scale = max(abs(lhs_m), abs(rhs_m), mpf(1))
-        fb = mpf(0) if formula == 0 else abs(lhs_m) * mpf(10) ** (6 - ctx.digits)
-        bounds = +((fb + to_mpf_ambient(series.abs_err_bound)) / scale)
-        rel_res = +(abs_res / scale)
-        abs_res = +abs_res
-    return RelationInstance(
-        relation_id=form_id, index=0, kind="probe", lattice_indices=None,
-        params=params, lhs=formula, rhs=rhs, abs_residual=abs_res,
-        rel_residual=rel_res, eval_bounds=bounds,
-        converged=series.converged, exact=exact and formula == 0)
+        fb = mpf(0) if formula == 0 else abs(formula) * mpf(10) ** (6 - ctx.digits)
+        bound = fb + series.abs_err_bound
+    return finish_instance(form_id, params, None, ctx, formula, rhs, bound,
+                           series.converged, exact and formula == 0)
 
 
-def _recurrence_instance(relation_id: str, sample: dict, ctx: PrecisionCtx, tol) -> RelationInstance:
+def _lattice_instance(relation_id: str, sample: dict, ctx: PrecisionCtx, tol) -> RelationInstance:
+    """A lattice relation at one sample: a three-term relation, or else the main
+    recurrence under relation_id.  The lattice functions are looked up at call
+    time, so a rebinding of them takes effect."""
     p = lattice.WatsonPoint(sample["a"], sample["b"], sample["c"],
                             sample["i"], sample["j"])
     try:
-        inst = lattice.recurrence_residual(p, ctx, tol=tol, relation_id=relation_id)
-    except (lattice.PreconditionViolation, SeriesError) as exc:
-        return _failed_instance(relation_id, p.params(), (p.i, p.j), str(exc))
-    return inst
-
-
-def _three_term_instance(printed: bool, relation_id: str, sample: dict,
-                         ctx: PrecisionCtx, tol) -> RelationInstance:
-    p = lattice.WatsonPoint(sample["a"], sample["b"], sample["c"],
-                            sample["i"], sample["j"])
-    try:
-        if printed:
+        if relation_id == "three_term_printed":
             return lattice.three_term_printed(p, ctx, tol=tol)
-        return lattice.three_term_corrected(p, ctx, tol=tol)
+        if relation_id == "three_term_corrected":
+            return lattice.three_term_corrected(p, ctx, tol=tol)
+        return lattice.recurrence_residual(p, ctx, tol=tol, relation_id=relation_id)
     except (lattice.PreconditionViolation, SeriesError) as exc:
         return _failed_instance(relation_id, p.params(), (p.i, p.j), str(exc))
 
@@ -335,20 +318,11 @@ def _thomae_instance(sample: dict, ctx: PrecisionCtx, tol) -> RelationInstance:
     except (DivergentSeries, SeriesError) as exc:
         return _failed_instance("thomae", params, None, f"rhs series: {exc}")
     with ctx.working(8):
-        lhs = to_mpf_ambient(left.value)
-        rhs = +(to_mpf_ambient(pref) * to_mpf_ambient(right.value))
-        abs_res = abs(lhs - rhs)
-        scale = max(abs(lhs), abs(rhs), mpf(1))
-        bound = (to_mpf_ambient(left.abs_err_bound)
-                 + abs(to_mpf_ambient(pref)) * to_mpf_ambient(right.abs_err_bound)
+        rhs = +(pref * right.value)
+        bound = (left.abs_err_bound + abs(pref) * right.abs_err_bound
                  + abs(rhs) * mpf(10) ** (6 - ctx.digits))
-        rel_bound = +(bound / scale)
-        rel_res = +(abs_res / scale)
-        abs_res = +abs_res
-    return RelationInstance(
-        relation_id="thomae", index=0, kind="probe", lattice_indices=None,
-        params=params, lhs=lhs, rhs=rhs, abs_residual=abs_res, rel_residual=rel_res,
-        eval_bounds=rel_bound, converged=left.converged and right.converged)
+    return finish_instance("thomae", params, None, ctx, left.value, rhs, bound,
+                           left.converged and right.converged)
 
 
 def _macrobert_instance(sample: dict, ctx: PrecisionCtx, tol) -> RelationInstance:
@@ -366,18 +340,9 @@ def _macrobert_instance(sample: dict, ctx: PrecisionCtx, tol) -> RelationInstanc
     except SeriesError as exc:
         return _failed_instance("macrobert", params, None, str(exc))
     with ctx.working(8):
-        lhs = to_mpf_ambient(left.value)
-        rhs = to_mpf_ambient(right.value)
-        abs_res = abs(lhs - rhs)
-        scale = max(abs(lhs), abs(rhs), mpf(1))
-        rel_bound = +((to_mpf_ambient(left.abs_err_bound)
-                       + to_mpf_ambient(right.abs_err_bound)) / scale)
-        rel_res = +(abs_res / scale)
-        abs_res = +abs_res
-    return RelationInstance(
-        relation_id="macrobert", index=0, kind="probe", lattice_indices=None,
-        params=params, lhs=lhs, rhs=rhs, abs_residual=abs_res, rel_residual=rel_res,
-        eval_bounds=rel_bound, converged=left.converged and right.converged)
+        bound = left.abs_err_bound + right.abs_err_bound
+    return finish_instance("macrobert", params, None, ctx, left.value, right.value, bound,
+                           left.converged and right.converged)
 
 
 DEBRANGES_GRID = {
@@ -388,8 +353,8 @@ DEBRANGES_GRID = {
 }
 
 
-def _debranges_points(grid=None):
-    grid = grid or DEBRANGES_GRID
+def _debranges_points(grid: dict, ctx: Optional[PrecisionCtx] = None) -> List[dict]:
+    """The sample dicts of a positivity grid; exact, so ctx is not needed."""
     pts = []
     for n in range(grid["n_max"] + 1):
         for alpha in grid["alphas"]:
@@ -523,7 +488,56 @@ def transcription_diff(i: int, j: int) -> List[str]:
     return flags
 
 
-# --- probes -----------------------------------------------------------------
+# --- samplers and probes ----------------------------------------------------
+
+def _sample_abc(constraints: SampleConstraints, index: int, seed: int,
+                ctx: PrecisionCtx, window) -> dict:
+    """Random sample `index`: an (a, b, c) triple whose margin lies in window."""
+    cons = replace(constraints, s_lo=window[0], s_hi=window[1])
+    a, b, c = sample_params(seed, index, cons, ctx)
+    return {"a": a, "b": b, "c": c}
+
+
+def _sample_at_cell(constraints_at: Callable, cell, index: int, seed: int,
+                    ctx: PrecisionCtx, window) -> dict:
+    """An (a, b, c) sample at lattice cell `cell`, or, when cell is None, at the
+    grid cell that `index` walks to."""
+    i, j = cell if cell is not None else _grid_cell(index)
+    return {**_sample_abc(constraints_at(i, j), index, seed, ctx, window), "i": i, "j": j}
+
+
+def _sample_macrobert(index: int, seed: int, ctx: PrecisionCtx, window) -> dict:
+    rng = SplitMix64((seed ^ index) & MASK64)
+    with ctx.working():
+        a = rng.uniform("0.1", "3.0")
+        b = rng.uniform("0.1", "3.0")
+        x_hi = (2 - mpmath.sqrt(2)) / 2 - mpf("0.01")
+        x = rng.uniform(mpf("0.01"), x_hi)
+    return {"a": a, "b": b, "x": x}
+
+
+def _given_probes(keys: Tuple[str, ...], points, ctx: PrecisionCtx) -> List[dict]:
+    return [dict(zip(keys, p)) for p in points]
+
+
+def _exact_probes(evaluate: Callable, plan, ctx: PrecisionCtx) -> List[dict]:
+    """For each (pool, (i, j), limit) of plan, the first `limit` pool triples
+    that evaluate exactly at (i, j); only evaluability matters, not the residual."""
+    out = []
+    for pool, (i, j), limit in plan:
+        found = 0
+        for a, b, c in pool:
+            sample = {"a": a, "b": b, "c": c, "i": i, "j": j}
+            inst = evaluate(sample, ctx, adjudication_tol(ctx))
+            if inst.converged and inst.exact:
+                out.append(sample)
+                found += 1
+            if found >= limit:
+                break
+    return out
+
+
+_ABC = ("a", "b", "c")
 
 _RECURRENCE_PROBE_POOL = (
     (Fraction(0), Fraction(3, 2), Fraction(5, 4)),
@@ -534,204 +548,114 @@ _RECURRENCE_PROBE_POOL = (
     (Fraction(-2), Fraction(3, 2), Fraction(3)),
 )
 
-
-def _exact_probe_samples(evaluate, pool, i, j, ctx, limit=3):
-    """Keep pool entries that evaluate exactly at (i, j); residual value is
-    irrelevant here, only evaluability."""
-    out = []
-    for a, b, c in pool:
-        sample = {"a": a, "b": b, "c": c, "i": i, "j": j}
-        inst = evaluate(sample, ctx, adjudication_tol(ctx))
-        if inst.converged and inst.exact:
-            out.append(sample)
-        if len(out) >= limit:
-            break
-    return out
+_THREE_TERM_PROBE_POOL = (
+    (Fraction(0), Fraction(1), Fraction(2)),
+    (Fraction(0), Fraction(1), Fraction(1)),
+    (Fraction(0), Fraction(3, 2), Fraction(5, 4)),
+    (Fraction(-1), Fraction(1), Fraction(2)),
+)
 
 
 def _grid_cell(index: int) -> Tuple[int, int]:
     return GRID[index % len(GRID)]
 
 
-# ---------------------------------------------------------------------------
-# registry of relations
-
-def _build_relations() -> dict:
-    rels = {}
-
-    def closed_form_rel(form_id, anchor, expected, probes):
-        constraints = _form_constraints(form_id)
-
-        def build_sample(index, seed, ctx, window):
-            cons = replace(constraints, s_lo=window[0], s_hi=window[1])
-            a, b, c = sample_params(seed, index, cons, ctx)
-            return {"a": a, "b": b, "c": c}
-
-        def evaluate(sample, ctx, tol):
-            return _closed_form_instance(form_id, sample, ctx, tol)
-
-        rels[form_id] = RelationDef(
-            relation_id=form_id, anchor=anchor, expected_identity=expected,
-            build_sample=build_sample, evaluate=evaluate,
-            probes=lambda ctx: [dict(zip(("a", "b", "c"), p)) for p in probes])
-
-    closed_form_rel(
-        "gauss", "unit-argument 2F1 summation in gamma form", True,
-        ((Fraction(0), Fraction(5, 4), Fraction(7, 4)),
-         (Fraction(-1), Fraction(3, 4), Fraction(5, 2)),
-         (Fraction(1, 2), Fraction(1, 2), Fraction(2))))
-    closed_form_rel(
-        "watson_00", "classical Watson summation, base lattice point (i=0, j=0)", True,
-        ((Fraction(-1), Fraction(1), Fraction(1)),
-         (Fraction(1), Fraction(1), Fraction(1)),
-         (Fraction(2), Fraction(2), Fraction(2)),
-         (Fraction(1, 2), Fraction(1, 2), Fraction(2))))
-    closed_form_rel(
-        "lavoie_plus", "gamma closed form for the j=+1 lattice row", True,
-        ((Fraction(1), Fraction(1), Fraction(1)),))
-    closed_form_rel(
-        "lavoie_minus", "gamma closed form for the j=-1 lattice row, as printed "
-        "(typo-suspect)", False,
-        ((Fraction(1, 2), Fraction(1, 2), Fraction(2)),
-         (Fraction(0), Fraction(1), Fraction(2))))
-
-    def recurrence_build(index, seed, ctx, window):
-        i, j = _grid_cell(index)
-        cons = replace(_recurrence_constraints(i, j), s_lo=window[0], s_hi=window[1])
-        a, b, c = sample_params(seed, index, cons, ctx)
-        return {"a": a, "b": b, "c": c, "i": i, "j": j}
-
-    def recurrence_eval(sample, ctx, tol):
-        return _recurrence_instance("recurrence_16", sample, ctx, tol)
-
-    def recurrence_probes(ctx):
-        out = []
-        for (i, j) in ((0, 0), (1, 0), (1, -1), (-2, 1), (2, -1)):
-            out += _exact_probe_samples(recurrence_eval, _RECURRENCE_PROBE_POOL,
-                                        i, j, ctx, limit=2)
-        return out
-
-    rels["recurrence_16"] = RelationDef(
-        relation_id="recurrence_16",
-        anchor="main two-index contiguous recurrence of the lattice",
-        expected_identity=True, build_sample=recurrence_build,
-        evaluate=recurrence_eval, probes=recurrence_probes)
-
-    for (i, j) in CASE_ORDER:
-        rid = _case_id(i, j)
-
-        def case_build(index, seed, ctx, window, i=i, j=j):
-            cons = replace(_recurrence_constraints(i, j), s_lo=window[0], s_hi=window[1])
-            a, b, c = sample_params(seed, index, cons, ctx)
-            return {"a": a, "b": b, "c": c, "i": i, "j": j}
-
-        def case_eval(sample, ctx, tol, rid=rid):
-            return _recurrence_instance(rid, sample, ctx, tol)
-
-        def case_probes(ctx, i=i, j=j, case_eval=case_eval):
-            return _exact_probe_samples(case_eval, _RECURRENCE_PROBE_POOL, i, j, ctx)
-
-        rels[rid] = RelationDef(
-            relation_id=rid,
-            anchor=f"special case (i={i}, j={j}) of the main recurrence, "
-                   "regenerated and diffed against the printed text",
-            expected_identity=True, build_sample=case_build, evaluate=case_eval,
-            probes=case_probes,
-            transcription=lambda i=i, j=j: transcription_diff(i, j))
-
-    def tt_build(index, seed, ctx, window):
-        i, j = _grid_cell(index)
-        cons = replace(_three_term_constraints(i, j), s_lo=window[0], s_hi=window[1])
-        a, b, c = sample_params(seed, index, cons, ctx)
-        return {"a": a, "b": b, "c": c, "i": i, "j": j}
-
-    def tt_printed_eval(sample, ctx, tol):
-        return _three_term_instance(True, "three_term_printed", sample, ctx, tol)
-
-    def tt_corrected_eval(sample, ctx, tol):
-        return _three_term_instance(False, "three_term_corrected", sample, ctx, tol)
-
-    tt_pool = ((Fraction(0), Fraction(1), Fraction(2)),
-               (Fraction(0), Fraction(1), Fraction(1)),
-               (Fraction(0), Fraction(3, 2), Fraction(5, 4)),
-               (Fraction(-1), Fraction(1), Fraction(2)))
-
-    rels["three_term_printed"] = RelationDef(
-        relation_id="three_term_printed",
-        anchor="cross-lattice three-term relation, printed form",
-        expected_identity=False, build_sample=tt_build, evaluate=tt_printed_eval,
-        probes=lambda ctx: _exact_probe_samples(tt_printed_eval, tt_pool, 0, 0, ctx))
-
-    def tt_corrected_probes(ctx):
-        out = _exact_probe_samples(tt_corrected_eval, tt_pool, 0, 0, ctx)
-        out += _exact_probe_samples(tt_corrected_eval,
-                                    ((Fraction(-1), Fraction(1), Fraction(2)),
-                                     (Fraction(0), Fraction(1, 2), Fraction(7, 4))),
-                                    0, 1, ctx, limit=2)
-        return out
-
-    rels["three_term_corrected"] = RelationDef(
-        relation_id="three_term_corrected",
-        anchor="cross-lattice three-term relation, corrected candidate "
-               "(re-derived by telescoping)",
-        expected_identity=True, build_sample=tt_build, evaluate=tt_corrected_eval,
-        probes=tt_corrected_probes)
-
-    def thomae_build(index, seed, ctx, window):
-        cons = replace(_thomae_constraints(), s_lo=window[0], s_hi=window[1])
-        a, b, c = sample_params(seed, index, cons, ctx)
-        return {"a": a, "b": b, "c": c}
-
-    rels["thomae"] = RelationDef(
-        relation_id="thomae",
-        anchor="fundamental 3F2(1) transformation with d=(a+b+1)/2, e=2c",
-        expected_identity=True, build_sample=thomae_build,
-        evaluate=lambda sample, ctx, tol: _thomae_instance(sample, ctx, tol),
-        probes=lambda ctx: [{"a": Fraction(0), "b": Fraction(3, 2), "c": Fraction(5, 4)},
-                            {"a": Fraction(1, 2), "b": Fraction(7, 10), "c": Fraction(6, 5)}])
-
-    def macrobert_build(index, seed, ctx, window):
-        rng = SplitMix64((seed ^ index) & MASK64)
-        with ctx.working():
-            a = rng.uniform("0.1", "3.0")
-            b = rng.uniform("0.1", "3.0")
-            x_hi = (2 - mpmath.sqrt(2)) / 2 - mpf("0.01")
-            x = rng.uniform(mpf("0.01"), x_hi)
-        return {"a": a, "b": b, "x": x}
-
-    rels["macrobert"] = RelationDef(
-        relation_id="macrobert",
-        anchor="quadratic transformation of the Gauss 2F1 under x -> 4x(1-x)",
-        expected_identity=True, build_sample=macrobert_build,
-        evaluate=lambda sample, ctx, tol: _macrobert_instance(sample, ctx, tol),
-        probes=lambda ctx: [
-            {"a": Fraction(3, 10), "b": Fraction(9, 20), "x": Fraction(0)},
-            {"a": Fraction(3, 10), "b": Fraction(9, 20), "x": Fraction(1, 5)},
-            {"a": Fraction(1, 2), "b": Fraction(1, 4), "x": Fraction(7, 25)}])
-
-    rels["debranges"] = RelationDef(
-        relation_id="debranges",
-        anchor="strict positivity of the terminating conformal-mapping 3F2(x) family",
-        expected_identity=True,
-        build_sample=None,
-        evaluate=lambda sample, ctx, tol: _debranges_instance(sample, ctx, tol),
-        probes=lambda ctx: [],
-        fixed_grid=lambda ctx: _debranges_points())
-
-    return rels
-
-
 def _case_id(i: int, j: int) -> str:
     return f"case_{str(i).replace('-', 'm')}_{str(j).replace('-', 'm')}"
 
 
-RELATIONS = _build_relations()
+# ---------------------------------------------------------------------------
+# the relation table, in suite order
 
-SUITE_ORDER = (
-    ("gauss", "watson_00", "lavoie_plus", "lavoie_minus", "recurrence_16")
-    + tuple(_case_id(i, j) for i, j in CASE_ORDER)
-    + ("three_term_printed", "three_term_corrected", "thomae", "macrobert", "debranges")
-)
+def _closed_form_row(form_id: str, anchor: str, expected_identity: bool,
+                     probes) -> RelationDef:
+    return RelationDef(
+        relation_id=form_id, anchor=anchor, expected_identity=expected_identity,
+        build_sample=partial(_sample_abc, _form_constraints(form_id)),
+        evaluate=partial(_closed_form_instance, form_id),
+        probes=partial(_given_probes, _ABC, probes))
+
+
+def _lattice_row(relation_id: str, anchor: str, expected_identity: bool,
+                 constraints_at: Callable, cell, probe_plan,
+                 transcription: Optional[Callable] = None) -> RelationDef:
+    evaluate = partial(_lattice_instance, relation_id)
+    return RelationDef(
+        relation_id=relation_id, anchor=anchor, expected_identity=expected_identity,
+        build_sample=partial(_sample_at_cell, constraints_at, cell),
+        evaluate=evaluate, probes=partial(_exact_probes, evaluate, probe_plan),
+        transcription=transcription)
+
+
+RELATIONS = {rel.relation_id: rel for rel in (
+    _closed_form_row(
+        "gauss", "unit-argument 2F1 summation in gamma form", True,
+        ((Fraction(0), Fraction(5, 4), Fraction(7, 4)),
+         (Fraction(-1), Fraction(3, 4), Fraction(5, 2)),
+         (Fraction(1, 2), Fraction(1, 2), Fraction(2)))),
+    _closed_form_row(
+        "watson_00", "classical Watson summation, base lattice point (i=0, j=0)", True,
+        ((Fraction(-1), Fraction(1), Fraction(1)),
+         (Fraction(1), Fraction(1), Fraction(1)),
+         (Fraction(2), Fraction(2), Fraction(2)),
+         (Fraction(1, 2), Fraction(1, 2), Fraction(2)))),
+    _closed_form_row(
+        "lavoie_plus", "gamma closed form for the j=+1 lattice row", True,
+        ((Fraction(1), Fraction(1), Fraction(1)),)),
+    _closed_form_row(
+        "lavoie_minus", "gamma closed form for the j=-1 lattice row, as printed "
+        "(typo-suspect)", False,
+        ((Fraction(1, 2), Fraction(1, 2), Fraction(2)),
+         (Fraction(0), Fraction(1), Fraction(2)))),
+    _lattice_row(
+        "recurrence_16", "main two-index contiguous recurrence of the lattice", True,
+        _recurrence_constraints, None,
+        tuple((_RECURRENCE_PROBE_POOL, cell, 2)
+              for cell in ((0, 0), (1, 0), (1, -1), (-2, 1), (2, -1)))),
+    *(_lattice_row(
+        _case_id(i, j),
+        f"special case (i={i}, j={j}) of the main recurrence, "
+        "regenerated and diffed against the printed text", True,
+        _recurrence_constraints, (i, j), ((_RECURRENCE_PROBE_POOL, (i, j), 3),),
+        transcription=partial(transcription_diff, i, j))
+      for i, j in CASE_ORDER),
+    _lattice_row(
+        "three_term_printed", "cross-lattice three-term relation, printed form", False,
+        _three_term_constraints, None, ((_THREE_TERM_PROBE_POOL, (0, 0), 3),)),
+    _lattice_row(
+        "three_term_corrected", "cross-lattice three-term relation, corrected candidate "
+        "(re-derived by telescoping)", True,
+        _three_term_constraints, None,
+        ((_THREE_TERM_PROBE_POOL, (0, 0), 3),
+         (((Fraction(-1), Fraction(1), Fraction(2)),
+           (Fraction(0), Fraction(1, 2), Fraction(7, 4))), (0, 1), 2))),
+    RelationDef(
+        relation_id="thomae",
+        anchor="fundamental 3F2(1) transformation with d=(a+b+1)/2, e=2c",
+        expected_identity=True,
+        build_sample=partial(_sample_abc, _thomae_constraints()),
+        evaluate=_thomae_instance,
+        probes=partial(_given_probes, _ABC,
+                       ((Fraction(0), Fraction(3, 2), Fraction(5, 4)),
+                        (Fraction(1, 2), Fraction(7, 10), Fraction(6, 5))))),
+    RelationDef(
+        relation_id="macrobert",
+        anchor="quadratic transformation of the Gauss 2F1 under x -> 4x(1-x)",
+        expected_identity=True, build_sample=_sample_macrobert,
+        evaluate=_macrobert_instance,
+        probes=partial(_given_probes, ("a", "b", "x"),
+                       ((Fraction(3, 10), Fraction(9, 20), Fraction(0)),
+                        (Fraction(3, 10), Fraction(9, 20), Fraction(1, 5)),
+                        (Fraction(1, 2), Fraction(1, 4), Fraction(7, 25))))),
+    RelationDef(
+        relation_id="debranges",
+        anchor="strict positivity of the terminating conformal-mapping 3F2(x) family",
+        expected_identity=True, build_sample=None, evaluate=_debranges_instance,
+        probes=partial(_given_probes, (), ()),
+        fixed_grid=partial(_debranges_points, DEBRANGES_GRID)),
+)}
+
+SUITE_ORDER = tuple(RELATIONS)
 
 EXPECTED_IDENTITY = tuple(r for r in SUITE_ORDER
                           if RELATIONS[r].expected_identity)
@@ -764,18 +688,57 @@ def _run_tasks(tasks, threads: int):
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
             chunk = max(1, len(tasks) // (threads * 4))
             return list(pool.map(_task_worker, tasks, chunksize=chunk))
-    except (OSError, PermissionError):
+    except OSError:
         return [_task_worker(t) for t in tasks]
+
+
+def _judged(rel: RelationDef, seed: int, ctx: PrecisionCtx, n_requested: int,
+            instances, minimum: int) -> RelationReport:
+    """The report on a relation's evaluated instances, under the one verdict
+    rule stated in check_relation."""
+    identity_floor = 10.0 ** (-ctx.digits / 3)
+    counterexample = None
+    all_within = True
+    n_conv = 0
+    worst = None
+    for inst in instances:
+        if not inst.converged:
+            continue
+        n_conv += 1
+        res = float(inst.rel_residual)
+        bounds = float(inst.eval_bounds) if inst.eval_bounds is not None else 0.0
+        if worst is None or res > float(worst):
+            worst = inst.rel_residual
+        if res > max(identity_floor, 100 * bounds):
+            all_within = False
+        if counterexample is None and (res > max(0.01, 100 * bounds)
+                                       or (inst.exact and inst.rel_residual != 0)):
+            counterexample = inst
+    if counterexample is not None:
+        verdict = "not_identity"
+    elif all_within and n_conv >= minimum:
+        verdict = "identity"
+    else:
+        verdict = "inconclusive"
+    return RelationReport(
+        relation_id=rel.relation_id, anchor=rel.anchor, seed=seed, digits=ctx.digits,
+        n_requested=n_requested, samples=tuple(instances), verdict=verdict,
+        worst_rel_residual=worst, counterexample=counterexample,
+        transcription_flags=tuple(rel.transcription()) if rel.transcription else (),
+        n_converged=n_conv)
 
 
 def check_relation(relation_id: str, n_samples: int, seed: int, ctx: PrecisionCtx,
                    window=DEFAULT_WINDOW, threads: int = 1) -> RelationReport:
-    """Adjudicate one relation: deterministic probes plus n_samples random draws.
+    """Adjudicate one relation: deterministic probes plus n_samples random draws,
+    or every point of its fixed grid.
 
-    Verdict rules: identity needs every converged sample inside
-    max(10^(-digits/3), 100 x its evaluation bounds) and at least the requested
-    number of converged samples; not_identity needs a converged sample whose
-    residual clears both 0.01 and 100 x its bounds; anything else is
+    The verdict rule, over converged instances only: not_identity needs one
+    whose residual clears both 0.01 and 100 x its evaluation bounds, or one
+    that is exact with a nonzero residual (the first such is the
+    counterexample); identity needs every residual inside
+    max(10^(-digits/3), 100 x its bounds) and at least the requested number of
+    converged instances (every grid point, for a grid); anything else is
     inconclusive.  Closed-form relations feed the trust registry.
     """
     if relation_id not in RELATIONS:
@@ -795,49 +758,12 @@ def check_relation(relation_id: str, n_samples: int, seed: int, ctx: PrecisionCt
     tasks = [(relation_id, kind, sample, rel_seed, ctx.digits, ctx.pole_guard,
               window[0], window[1]) for kind, sample in work]
     instances = [reindexed(inst, k) for k, inst in enumerate(_run_tasks(tasks, threads))]
-
-    identity_floor = 10.0 ** (-ctx.digits / 3)
-    counterexample = None
-    all_within = True
-    n_conv = 0
-    worst = None
-    for inst in instances:
-        if not inst.converged:
-            continue
-        n_conv += 1
-        res = float(inst.rel_residual)
-        bounds = float(inst.eval_bounds) if inst.eval_bounds is not None else 0.0
-        if worst is None or res > float(worst):
-            worst = inst.rel_residual
-        if res > max(identity_floor, 100 * bounds):
-            all_within = False
-        if counterexample is None and res > max(0.01, 100 * bounds):
-            counterexample = inst
-    if counterexample is not None:
-        verdict = "not_identity"
-    elif all_within and n_conv >= minimum:
-        verdict = "identity"
-    else:
-        verdict = "inconclusive"
-    flags = tuple(rel.transcription()) if rel.transcription else ()
-    report = RelationReport(
-        relation_id=relation_id, anchor=rel.anchor, seed=seed, digits=ctx.digits,
-        n_requested=n_samples, samples=tuple(instances), verdict=verdict,
-        worst_rel_residual=worst, counterexample=counterexample,
-        transcription_flags=flags, n_converged=n_conv)
+    report = _judged(rel, seed, ctx, n_samples, instances, minimum)
     if relation_id in FORM_IDS:
         closedform.record_adjudication(
-            relation_id, verdict, n_conv, worst,
+            relation_id, report.verdict, report.n_converged, report.worst_rel_residual,
             evidence_ref=(relation_id, seed, ctx.digits, len(instances)))
     return report
-
-
-def check_thomae(n_samples: int, seed: int, ctx: PrecisionCtx, threads: int = 1) -> RelationReport:
-    return check_relation("thomae", n_samples, seed, ctx, threads=threads)
-
-
-def check_macrobert(n_samples: int, seed: int, ctx: PrecisionCtx, threads: int = 1) -> RelationReport:
-    return check_relation("macrobert", n_samples, seed, ctx, threads=threads)
 
 
 def check_debranges(grid, ctx: PrecisionCtx) -> RelationReport:
@@ -847,14 +773,7 @@ def check_debranges(grid, ctx: PrecisionCtx) -> RelationReport:
     pts = _debranges_points(grid)
     instances = [reindexed(_debranges_instance(p, ctx, None), k)
                  for k, p in enumerate(pts)]
-    bad = [inst for inst in instances if float(inst.rel_residual) > 0]
-    verdict = "identity" if not bad else "not_identity"
-    worst = max((inst.rel_residual for inst in instances), key=float, default=None)
-    return RelationReport(
-        relation_id="debranges", anchor=RELATIONS["debranges"].anchor, seed=0,
-        digits=ctx.digits, n_requested=len(pts), samples=tuple(instances),
-        verdict=verdict, worst_rel_residual=worst,
-        counterexample=bad[0] if bad else None, n_converged=len(instances))
+    return _judged(RELATIONS["debranges"], 0, ctx, len(pts), instances, len(pts))
 
 
 def run_suite(seed: int, ctx: PrecisionCtx, samples: int = 100,

@@ -1,6 +1,7 @@
 """Acceptance gate: one test per criterion, at the stated sample counts,
 precisions, and tolerances.  Run with -v to get one pass/fail line each."""
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -150,8 +151,8 @@ def test_criterion_6_lavoie_adjudication(ctx30, suite30):
 
 
 def test_criterion_7_thomae_macrobert(ctx30):
-    thomae = verify.check_thomae(50, SEED, ctx30)
-    macrobert = verify.check_macrobert(50, SEED, ctx30)
+    thomae = verify.check_relation("thomae", 50, SEED, ctx30)
+    macrobert = verify.check_relation("macrobert", 50, SEED, ctx30)
     t_rand = [s for s in thomae.samples if s.kind == "sample"]
     m_rand = [s for s in macrobert.samples if s.kind == "sample"]
     ok = (thomae.verdict == "identity" and macrobert.verdict == "identity"
@@ -183,3 +184,6 @@ def test_criterion_9_suite_determinism(tmp_path):
     blobs = [p.read_bytes() for p in paths]
     ok = blobs[0] == blobs[1] == blobs[2] and json.loads(blobs[0])
     _announce(9, bool(ok), "three suite invocations (threads 1/1/2) byte-identical")
+    # the report bytes themselves are pinned, so any change to them shows here
+    assert hashlib.sha256(blobs[0]).hexdigest() == (
+        "ca38e15114d1ab0b51633900342953ae268081b5b8d2037376a489bf85900cf9")

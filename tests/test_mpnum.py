@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
 from watsonlab.mpnum import (GammaFactor, NumeratorPole, PrecisionCtx,
-                             gamma_product, ln_gamma, pochhammer)
+                             gamma_product, ln_gamma, nearest_nonpos_int, pochhammer)
 
 CTX = PrecisionCtx(digits=30)
 
@@ -24,6 +24,25 @@ def test_ctx_validation():
     with pytest.raises(ValueError):
         PrecisionCtx(digits=30, pole_guard=0.6)
     assert CTX.prec >= 30 * 3.33
+
+
+def test_nearest_nonpos_int_is_exact():
+    # Fractions compare as rationals, the guard at its exact binary value
+    assert nearest_nonpos_int(Fraction(-21, 20), 0.05) == -1     # binary 0.05 > 1/20
+    assert nearest_nonpos_int(Fraction(-21, 20), 0.049) is None
+    assert nearest_nonpos_int(Fraction(-41, 40), 0.05) == -1
+    assert nearest_nonpos_int(Fraction(3, 100), 0.05) == 0
+    assert nearest_nonpos_int(Fraction(7, 2), 0.05) is None
+    with mpmath.workprec(200):
+        at_guard = mpf(-1) + mpf(0.05)          # exact at 200 bits
+        assert nearest_nonpos_int(at_guard, 0.05) == -1
+        # a float test rounds this to -0.95 and then finds it 0.05000000000000004 away
+        assert nearest_nonpos_int(at_guard + mpf(2) ** -190, 0.05) is None
+        near = mpf(-1) + mpf(10) ** -30
+        assert nearest_nonpos_int(near, 0) is None  # a float test calls this a pole
+        assert nearest_nonpos_int(mpf(-1), 0) == -1
+        assert nearest_nonpos_int(near, 0.05) == -1
+    assert PrecisionCtx(digits=30, pole_guard=0).near_nonpos_int(near) is None
 
 
 def test_ctx_text_roundtrip():

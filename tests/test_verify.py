@@ -10,9 +10,10 @@ from watsonlab import closedform
 from watsonlab.mpnum import PrecisionCtx
 from watsonlab.verify import (CASE_ORDER, GRID, RELATIONS, SUITE_ORDER,
                               SamplingExhausted, SplitMix64, UnknownRelation,
-                              _case_id, _recurrence_constraints, _relation_seed,
-                              check_debranges, check_macrobert, check_relation,
-                              check_thomae, sample_params, transcription_diff)
+                              _case_id, _debranges_points, _recurrence_constraints,
+                              _relation_seed,
+                              check_debranges, check_relation, sample_params,
+                              transcription_diff)
 
 CTX = PrecisionCtx(digits=30)
 FAST = PrecisionCtx(digits=20)
@@ -123,12 +124,12 @@ def test_case_report_carries_flags():
 
 
 def test_thomae_and_macrobert():
-    rep = check_thomae(10, 0xC0FFEE, FAST)
+    rep = check_relation("thomae", 10, 0xC0FFEE, FAST)
     assert rep.verdict == "identity"
     # the a = 0 probe is recorded but cannot converge (prefactor zero times a
     # divergent series); it must not count toward the verdict
     assert any(not s.converged for s in rep.samples if s.kind == "probe")
-    rep = check_macrobert(10, 0xC0FFEE, FAST)
+    rep = check_relation("macrobert", 10, 0xC0FFEE, FAST)
     assert rep.verdict == "identity"
     x0 = [s for s in rep.samples if s.kind == "probe"][0]
     assert x0.abs_residual == 0          # x = 0 makes both sides exactly 1
@@ -152,6 +153,24 @@ def test_debranges_custom_grid():
                            "xs": (Fraction(0), Fraction(1, 2))}, FAST)
     assert rep.verdict == "identity"
     assert len(rep.samples) == 16
+
+
+# n = 2 at alpha = -13/4, x = 1/10 gives 3F2 = -1/700
+_NEGATIVE_GRID = {"n_max": 2, "alphas": (Fraction(-13, 4),), "xs": (Fraction(1, 10),)}
+
+
+def test_exact_nonzero_residual_refutes_on_both_paths(monkeypatch):
+    # the residual 1/700 is below the 0.01 floor; exactness alone makes it a
+    # counterexample, on the custom-grid path and through check_relation alike
+    direct = check_debranges(_NEGATIVE_GRID, FAST)
+    monkeypatch.setitem(RELATIONS, "debranges", replace(
+        RELATIONS["debranges"], fixed_grid=lambda ctx: _debranges_points(_NEGATIVE_GRID)))
+    routed = check_relation("debranges", 0, 0, FAST)
+    for rep in (direct, routed):
+        assert rep.verdict == "not_identity"
+        ce = rep.counterexample
+        assert ce.exact and ce.params["n"] == 2
+        assert ce.lhs == Fraction(-1, 700) and ce.rel_residual == Fraction(1, 700)
 
 
 def test_check_relation_deterministic():
