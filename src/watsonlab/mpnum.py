@@ -6,6 +6,13 @@ decimal ``digits`` are honest) and the pole guard used to decide when a gamma
 argument counts as a pole.  Decimal text is presentation only; all arithmetic
 is binary floating point.
 
+Log-gamma is mpmath's ``loggamma``; this module adds the pole test, the
+reflection below 1/2 that yields the sign of Gamma, and the final rounding to
+the context.  It runs at 12 guard digits, which loggamma does not need for
+accuracy: they keep the rounded values, bit for bit, those of the Stirling
+series reference frozen in the tests, so report bytes do not depend on the
+kernel.
+
 Everything here is a pure function of its inputs plus the context, so values
 can be shared freely across threads.
 """
@@ -158,36 +165,6 @@ def pochhammer(alpha, n: int, ctx: Optional[PrecisionCtx] = None):
         return +acc
 
 
-def _stirling_ln_gamma(x: mpf, digits: int) -> mpf:
-    """ln Gamma(x) for x >= 0.5 via upward recurrence then the asymptotic series.
-
-    The promotion threshold 0.8 * digits keeps the series remainder near
-    exp(-2 pi * 0.8 * digits), far below the 10^-digits scale, without any
-    precomputed constant table.
-    """
-    thresh = max(12, int(0.8 * digits) + 1)
-    shift = mpf(0)
-    while x < thresh:
-        shift += mpmath.log(x)
-        x += 1
-    res = (x - mpf(1) / 2) * mpmath.log(x) - x + mpmath.log(2 * mpmath.pi) / 2
-    eps = mpf(10) ** (-(digits + _LN_DIGITS_GUARD))
-    x2 = x * x
-    xpow = x
-    prev = None
-    for k in range(1, 4 * digits + 4):
-        term = mpmath.bernoulli(2 * k) / ((2 * k) * (2 * k - 1) * xpow)
-        mag = abs(term)
-        if prev is not None and mag >= prev:
-            break
-        res += term
-        prev = mag
-        if mag < eps:
-            break
-        xpow *= x2
-    return res - shift
-
-
 def ln_gamma(x, ctx: PrecisionCtx) -> GammaFactor:
     """ln|Gamma(x)| with sign tracking; reflection below 1/2, poles flagged as data.
 
@@ -199,13 +176,13 @@ def ln_gamma(x, ctx: PrecisionCtx) -> GammaFactor:
     with ctx.working(_LN_DIGITS_GUARD):
         v = to_mpf_ambient(x)
         if v >= mpf(1) / 2:
-            raw = _stirling_ln_gamma(+v, ctx.digits)
+            raw = mpmath.loggamma(+v)
             sign = 1
         else:
             m = int(mpmath.floor(v))
             r = v - m
             s = mpmath.sinpi(r)
-            raw = mpmath.log(mpmath.pi) - mpmath.log(s) - _stirling_ln_gamma(1 - v, ctx.digits)
+            raw = mpmath.log(mpmath.pi) - mpmath.log(s) - mpmath.loggamma(1 - v)
             sign = 1 if m % 2 == 0 else -1
     with ctx.working():
         return GammaFactor(value_ln=+raw, sign=sign, pole=False)

@@ -139,13 +139,14 @@ def _is_one(z) -> bool:
 def termination_degree(f: PFQ, pole_guard: float = 0.05) -> Optional[int]:
     """Least m with some numerator within pole_guard of -m, or None.
 
-    When present the series is the finite sum over n = 0..m; parameters that
-    arrive as floats within the guard of a nonpositive integer are treated as
-    that integer.
+    When present the series is the finite sum over n = 0..m.  Exact (int or
+    Fraction) numerators terminate only at an exact nonpositive integer;
+    parameters that arrive as floats or mpf within the guard of a nonpositive
+    integer are treated as that integer.
     """
     best = None
     for a in f.numerators:
-        k = nearest_nonpos_int(a, pole_guard)
+        k = nearest_nonpos_int(a, 0 if as_rational(a) is not None else pole_guard)
         if k is not None and (best is None or -k < best):
             best = -k
     return best
@@ -228,8 +229,8 @@ def _round_to_ctx(ctx: PrecisionCtx, x) -> mpf:
 
 def _finite_sum_result(f: PFQ, ctx: PrecisionCtx, m: int) -> EvalResult:
     if f.all_rational():
-        # sum n = 0..m directly; m may come from guard proximity, in which case
-        # the near-integer numerator is deliberately treated as that integer
+        # rational data terminates only at an exact nonpositive integer,
+        # so this is the exact value of the series
         exact = _exact_sum(f, m)
         value = ctx.mpf(exact)
         bound = abs(value) * mpf(10) ** (-ctx.digits) if value != 0 else mpf(0)

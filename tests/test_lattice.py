@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf
@@ -72,6 +73,20 @@ def test_eval_point_series_row_away_from_base():
         oracle = _direct_unit(to_pfq(p), CTX, mpf(10) ** -5, 10000, mpf(1.5))
         assert oracle is not None and oracle.converged
         assert abs(res.value - oracle.value) <= oracle.abs_err_bound + res.abs_err_bound
+
+
+def test_eval_point_rational_near_pole_is_not_exact():
+    # a = -39/40 lies within the 0.05 pole guard of -1, but exact data
+    # terminates only at an exact nonpositive integer: truncating after n = 1
+    # would give the exact 2/41, which is not the value of the series
+    p = WatsonPoint(Fraction(-39, 40), 1, 2, 0, 0)
+    ctx = PrecisionCtx(digits=20)
+    res = eval_point(p, ctx, use_closed_forms=False)
+    assert res.exact_value is None and res.method == "accelerated" and res.converged
+    with mpmath.workprec(2 * ctx.prec):
+        a = mpf(-39) / 40
+        ref = mpmath.hyp3f2(a, 1, 2, (a + 2) / 2, 4, 1)
+        assert abs(res.value - ref) <= res.abs_err_bound
 
 
 def test_eval_point_divergent():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
-from watsonlab.mpnum import (GammaFactor, NumeratorPole, PrecisionCtx,
-                             gamma_product, ln_gamma, nearest_nonpos_int, pochhammer)
+from watsonlab.mpnum import (GammaFactor, NumeratorPole, PrecisionCtx, gamma_product,
+                             ln_gamma, nearest_nonpos_int, pochhammer, to_mpf_ambient)
 
 CTX = PrecisionCtx(digits=30)
 
@@ -171,3 +171,88 @@ def test_gamma_factor_is_data():
     g = ln_gamma(-3, CTX)
     assert isinstance(g, GammaFactor)
     assert g.pole is True and g.value_ln == mpmath.inf
+
+
+# ---------------------------------------------------------------------------
+# bit exactness of ln_gamma on mpmath.loggamma against the Stirling series
+#
+# Frozen copy of the hand-written kernel that mpmath.loggamma replaced: upward
+# recurrence to 0.8 * digits, then the asymptotic series, inside the same pole
+# test, reflection and guard digits.  The rounded results must be the same
+# bits, so they compare with ==.
+
+def _frozen_stirling_ln_gamma(x, digits):
+    thresh = max(12, int(0.8 * digits) + 1)
+    shift = mpf(0)
+    while x < thresh:
+        shift += mpmath.log(x)
+        x += 1
+    res = (x - mpf(1) / 2) * mpmath.log(x) - x + mpmath.log(2 * mpmath.pi) / 2
+    eps = mpf(10) ** (-(digits + 12))
+    x2 = x * x
+    xpow = x
+    prev = None
+    for k in range(1, 4 * digits + 4):
+        term = mpmath.bernoulli(2 * k) / ((2 * k) * (2 * k - 1) * xpow)
+        mag = abs(term)
+        if prev is not None and mag >= prev:
+            break
+        res += term
+        prev = mag
+        if mag < eps:
+            break
+        xpow *= x2
+    return res - shift
+
+
+def _frozen_ln_gamma(x, ctx):
+    if ctx.near_nonpos_int(x) is not None:
+        return GammaFactor(value_ln=mpmath.inf, sign=1, pole=True)
+    with ctx.working(12):
+        v = to_mpf_ambient(x)
+        if v >= mpf(1) / 2:
+            raw = _frozen_stirling_ln_gamma(+v, ctx.digits)
+            sign = 1
+        else:
+            m = int(mpmath.floor(v))
+            s = mpmath.sinpi(v - m)
+            raw = mpmath.log(mpmath.pi) - mpmath.log(s) - _frozen_stirling_ln_gamma(1 - v, ctx.digits)
+            sign = 1 if m % 2 == 0 else -1
+    with ctx.working():
+        return GammaFactor(value_ln=+raw, sign=sign, pole=False)
+
+
+def _ln_gamma_sweep(ctx, seed):
+    rng = random.Random(seed)
+    pts = [k for k in range(-4, 31) if k not in (1, 2)]
+    pts += [Fraction(k, 2) for k in range(-21, 61, 2)]
+    pts += [Fraction(rng.randint(-3000, 3000), rng.randint(3, 97)) for _ in range(25)]
+    pts += [ctx.mpf(rng.uniform(-30.0, 300.0)) for _ in range(25)]
+    return pts
+
+
+@pytest.mark.parametrize("digits", [15, 20, 30, 50, 100, 200])
+def test_ln_gamma_bit_exact_against_frozen_stirling(digits):
+    ctx = PrecisionCtx(digits=digits)
+    pts = _ln_gamma_sweep(ctx, 4000 + digits)
+    reflected = [x for x in pts if x < 0.5 and ctx.near_nonpos_int(x) is None]
+    assert len(reflected) >= 20
+    for x in pts:
+        new, old = ln_gamma(x, ctx), _frozen_ln_gamma(x, ctx)
+        assert (new.pole, new.sign) == (old.pole, old.sign), x
+        assert new.pole or new.value_ln._mpf_ == old.value_ln._mpf_, x
+    # the Stirling series left rounding noise at Gamma(1) = Gamma(2) = 1
+    for x in (1, 2, Fraction(2), ctx.mpf(1)):
+        g = ln_gamma(x, ctx)
+        assert g.value_ln == 0 and g.sign == 1 and not g.pole
+
+
+@pytest.mark.slow
+def test_ln_gamma_at_1000_digits():
+    ctx = PrecisionCtx(digits=1000)
+    for x, sign in ((Fraction(7, 3), 1), (Fraction(-17, 3), 1)):
+        g = ln_gamma(x, ctx)
+        assert g.sign == sign and not g.pole
+        with mpmath.workdps(1100):
+            ref = mpmath.re(mpmath.loggamma(mpf(x.numerator) / x.denominator))
+            assert abs(g.value_ln - ref) <= mpf(10) ** (5 - 1000)
