@@ -17,6 +17,10 @@ parametric excess (sum of denominator parameters minus sum of numerator
 parameters).  Direct summation is used when its tail bound can reach the
 requested tolerance within the term budget; otherwise partial sums are fed to
 a Levin-type sequence extrapolation that carries its own error estimate.
+Before the mp loop of direct summation starts, a float rehearsal of its first
+65 terms (:func:`_direct_gives_up`) tries to prove, with margins that cover
+every float rounding, that the loop would give up at its first projection
+(n = 64); only then is the loop skipped, so every result is the loop's.
 
 The Levin weights depend only on (order k, index n, beta, working precision),
 never on the series, so they are memoised in :class:`_LevinCoefficients`: one
@@ -29,6 +33,7 @@ The tableau update runs on the same raw tuples with the same roundings.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,6 +52,10 @@ DIRECT_MAX_TERMS = 10_000
 ACCEL_MAX_PARTIAL_SUMS = 2_000
 _ACCEL_START = 32
 _LEVIN_MEMO_CAP = 1 << 16      # Levin coefficients memoised at once, all precisions together
+_RATIO_MARGIN = 1e-9           # a rehearsed log ratio below -this is a decreasing mp term
+_REHEARSAL_ERR = 1e-10         # largest per-step log error the rehearsal margins absorb
+_LN2 = math.log(2)
+_FLOAT_MIN = 2.0 ** -1022      # smallest normal float
 
 _RND = round_nearest           # the rounding mode of every mpf operator
 _make_mpf = mpmath.mp.make_mpf
@@ -146,15 +155,25 @@ def termination_degree(f: PFQ, pole_guard: float = 0.05) -> Optional[int]:
     """
     best = None
     for a in f.numerators:
-        k = nearest_nonpos_int(a, 0 if as_rational(a) is not None else pole_guard)
+        k = _near_pole(a, pole_guard)
         if k is not None and (best is None or -k < best):
             best = -k
     return best
 
 
+def _near_pole(x, guard) -> Optional[int]:
+    """The nonpositive integer x counts as: exactly for int/Fraction, within guard otherwise."""
+    return nearest_nonpos_int(x, 0 if as_rational(x) is not None else guard)
+
+
 def _check_denominators(f: PFQ, degree: Optional[int], guard: float):
+    """Refuse a denominator factor b + n that vanishes before the series terminates.
+
+    As for termination, exact (int/Fraction) denominators count only at an
+    exact nonpositive integer; floats and mpf within guard of one count too.
+    """
     for d in f.denominators:
-        k = nearest_nonpos_int(d, guard)
+        k = _near_pole(d, guard)
         if k is None:
             continue
         if degree is None or -k < degree:
@@ -344,7 +363,105 @@ def eval_general(f: PFQ, ctx: PrecisionCtx, tol=None, max_terms: Optional[int] =
 
 
 def _direct_unit(f: PFQ, ctx: PrecisionCtx, tol, max_terms: int, s) -> Optional[EvalResult]:
-    """Direct summation for excess s > 1; None when tol is out of reach in budget."""
+    """Direct summation for excess s > 1; None when tol is out of reach in budget.
+
+    A float rehearsal (:func:`_direct_gives_up`) first tries to prove that the
+    mp loop would give up at its first projection; only when it cannot is the
+    loop run.  Either way the result is the loop's.
+    """
+    if _direct_gives_up(f, tol, max_terms, s):
+        return None
+    return _direct_sum(f, ctx, tol, max_terms, s)
+
+
+def _direct_gives_up(f: PFQ, tol, max_terms: int, s) -> bool:
+    """True only if :func:`_direct_sum` provably returns None at n = 64.
+
+    The rehearsal runs the term recurrence for n = 0..64 in floats, carrying
+    log|t_n| as a sum of per-step log ratios d_n = log|t_{n+1} / t_n|, and
+    tol as the logarithm of its mpf mantissa and exponent, so nothing
+    overflows or underflows at any digits.  It returns True when all of these
+    hold, and the mp loop then returns None at n = 64:
+
+    * max_terms > 64, so the loop reaches n = 64;
+    * for every n in [24, 64], 2 |t_{n+1}| (n + 2) / s > 2 tol.  The mp bound
+      adds |total| 10^-(digits+4) >= 0 to that head, so no bound the loop can
+      form before n = 64 reaches tol and it does not stop early;
+    * d_n < -1e-9 for n = 57..64, so the mp counter of decreasing terms is
+      at least 8 at n = 64 and the projection is made there;
+    * (n + 2) (bound / tol)^(1/s) > 2 max_terms at n = 64, so the projected
+      need exceeds the budget and the loop returns None.
+
+    Error argument.  A parameter x enters as float(x), within 2^-52 |x| of x
+    and of its mpf (the mp loop runs at 90 bits or more, since digits >= 15).
+    With g = min |x + n| over n = 0..64, a float factor x + n and the mp one
+    differ by at most 2^-50 (|x| + |x + n|), a log error of at most
+    2^-49 (1 + |x| / g).  The mp and float products and quotients add one
+    rounding each, the float log at most 2 ulp of |d_n| <= spread (the sum of
+    max(|log g|, log(|x| + 64)) over parameters plus log 65), so with p
+    numerators and q denominators every d_n is within
+    err = 2^-48 (sum (1 + |x|/g) + spread + p + q + 2) of the mp log ratio.
+    The rehearsal requires err <= 1e-10, ten times below the ratio margin;
+    the accumulated log|t_n| error, at most 65 err plus the float sums', is
+    far below the ln 2 margins on the bound and the need.  spread <= 700
+    keeps every float product inside the normal range.
+
+    It returns False, and the mp loop decides, whenever a precondition fails:
+    a parameter or s that float() cannot hold or that is not finite, a tol
+    that is not positive, a factor x + n that vanishes or cancels so far that
+    err > 1e-10, or products that leave the float range.
+    """
+    if max_terms <= 64:
+        return False
+    try:
+        nums = [float(a) for a in f.numerators]
+        dens = [float(b) for b in f.denominators]
+        s_f = float(s)
+    except OverflowError:
+        return False
+    sign, man, exp, _ = to_mpf_ambient(tol)._mpf_
+    if sign or not man or not _FLOAT_MIN <= s_f < math.inf:
+        return False
+    log_tol = math.log(man) + exp * _LN2
+    spread = math.log(65)
+    cancel = 0.0
+    for x in nums + dens:
+        if not math.isfinite(x):
+            return False
+        g = abs(x + min(64, max(0, round(-x))))
+        if g < _FLOAT_MIN:
+            return False
+        spread += max(-math.log(g), math.log(abs(x) + 64))
+        cancel += 1 + abs(x) / g
+    err = 2.0 ** -48 * (cancel + spread + len(nums) + len(dens) + 2)
+    if spread > 700 or err > _REHEARSAL_ERR:
+        return False
+    log_head = _LN2 - math.log(s_f)        # log(2 / s)
+    floor = log_tol + _LN2                 # bound margin 2
+    log_t = 0.0                            # log|t_{n+1}| after step n
+    for n in range(65):
+        num = 1.0
+        for a in nums:
+            num *= a + n
+        den = n + 1.0
+        for b in dens:
+            den *= b + n
+        d = math.log(abs(num / den))
+        log_t += d
+        if n >= 24 and log_t + math.log(n + 2) + log_head <= floor:
+            return False
+        if n >= 57 and d >= -_RATIO_MARGIN:
+            return False
+    log_bound = log_t + math.log(66) + log_head
+    return math.log(66) + (log_bound - log_tol) / s_f > math.log(max_terms) + _LN2
+
+
+def _direct_sum(f: PFQ, ctx: PrecisionCtx, tol, max_terms: int, s) -> Optional[EvalResult]:
+    """The mp direct-summation loop; None when tol is out of reach in budget.
+
+    :func:`_direct_gives_up` rehearses its thresholds (first bound at n = 24,
+    8 decreasing terms, first projection at n = 64); change them together.
+    """
     with ctx.working(10):
         prec = mpmath.mp.prec
         s = to_mpf_ambient(s)

@@ -174,3 +174,20 @@ def test_residual_sweep_cell_without_converged_sample(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "(i=+0, j=+0)  no converged sample among 1 samples" in out
     assert "worst over the whole grid: " in out
+
+
+def test_direct_skip_audit_counts_and_fails_on_unsound_skip(capsys, monkeypatch):
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "direct_skip_audit.py"
+    spec = importlib.util.spec_from_file_location("direct_skip_audit", path)
+    audit = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(audit)
+    assert audit.main(["--count", "60", "--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    assert "unsound skips 0" in out
+    # a rehearsal that always gives up skips points the mp loop finishes
+    monkeypatch.setattr(audit.series, "_direct_gives_up", lambda *args: True)
+    assert audit.main(["--count", "60", "--seed", "5"]) == 1
+    assert "unsound skip at point" in capsys.readouterr().out

@@ -11,8 +11,8 @@ from watsonlab.mpnum import PrecisionCtx, to_mpf_ambient
 from watsonlab.series import (PFQ, ArgumentNotUnity, DivergentSeries, EvalResult,
                               NonRationalInput, NotTerminating, OutsideRadius,
                               SeriesError, _accelerated_unit, _direct_unit,
-                              convergence_margin, eval_exact, eval_general,
-                              eval_unit, termination_degree)
+                              convergence_margin, default_tolerance, eval_exact,
+                              eval_general, eval_unit, termination_degree)
 
 CTX = PrecisionCtx(digits=30)
 
@@ -110,6 +110,20 @@ def test_eval_unit_divergent():
 def test_eval_unit_denominator_pole_rejected():
     with pytest.raises(SeriesError):
         eval_unit(F3((Fraction(1, 2), 1, 1), (Fraction(-3, 2), 4)), CTX)
+
+
+def test_eval_unit_exact_denominator_near_pole_is_summed():
+    # an exact denominator is a pole only at an exact nonpositive integer
+    ctx = PrecisionCtx(digits=20)
+    res = eval_unit(F3((1, 1, 1), (Fraction(-39, 40), 5)), ctx)
+    with mpmath.workdps(40):
+        ref = mpmath.hyp3f2(1, 1, 1, mpf(-39) / 40, 5, 1)
+        assert res.converged
+        assert abs(res.value - ref) <= res.abs_err_bound + mpf(10) ** -35
+        assert abs(res.value + mpf("100.737614409426827")) < mpf(10) ** -14
+    # the same value as a float still falls inside the guard
+    with pytest.raises(SeriesError):
+        eval_unit(F3((1, 1, 1), (-0.975, 5)), ctx)
 
 
 def test_eval_general_at_zero_and_half():
@@ -455,6 +469,95 @@ def test_direct_bit_exact_success_and_abandon():
                 _same(new, old)
             outcomes.append(new is not None)
     assert any(outcomes) and not all(outcomes)
+
+
+@pytest.mark.parametrize("digits", [15, 30, 50])
+def test_direct_rehearsal_keeps_every_result(digits):
+    """Skipped or not, _direct_unit returns what the mp loop returns."""
+    ctx = PrecisionCtx(digits=digits)
+    rng = random.Random(digits)
+    skipped = finished = 0
+    for f, s in _watson_points(ctx, digits, 40, s_lo=1.0, s_hi=12.0):
+        if s == 1:
+            continue
+        tol = ctx.mpf(mpf(10) ** -rng.randint(6, 28))
+        budget = rng.choice((10, 64, 65, 100, 10_000))
+        new = _direct_unit(f, ctx, tol, budget, s)
+        old = _frozen_direct_unit(f, ctx, tol, budget, s)
+        assert (new is None) == (old is None)
+        if new is not None:
+            _same(new, old)
+            finished += 1
+        skipped += series._direct_gives_up(f, tol, budget, s)
+    assert skipped and finished
+
+
+def _edge_case(case):
+    """(ctx, f, s, tol, budget, whether the rehearsal decides) for one edge case."""
+    if case in ("cancelling_factor", "near_cancelling_factor"):
+        # 1e-17 from -3: float(a) + 3 is 0; 1e-7 from -3: float(a) + 3 keeps
+        # about 9 digits, too few for the error argument.  Neither is decided.
+        ctx = PrecisionCtx(digits=30, pole_guard=0)
+        gap = 17 if case == "cancelling_factor" else 7
+        with ctx.working(10):
+            f = F3((mpf(-3) + mpf(10) ** -gap, mpf("1.25"), mpf("2.5")),
+                   (mpf("3.75"), mpf("3.5")))
+        return ctx, f, mpf(2), default_tolerance(ctx), 10_000, False
+    if case == "digits_400":
+        # tol = 10^-398 underflows a float; its logarithm does not
+        ctx = PrecisionCtx(digits=400)
+        f, s = _watson_points(ctx, 9, 1, s_lo=2.0, s_hi=3.0)[0]
+        return ctx, f, s, default_tolerance(ctx), 10_000, True
+    if case == "huge_fraction":
+        # float() overflows on the parameters
+        big = Fraction(10 ** 400 + 1, 3)
+        f = F3((big, 1, 1), (big + Fraction(5, 2), Fraction(3, 2)))
+        return PrecisionCtx(digits=30), f, Fraction(2), mpf(10) ** -20, 10_000, False
+    # the terms reach the tolerance before n = 64, then rise again as the
+    # denominator b1 crosses zero: only the bounds at n < 64 show the finish
+    ctx = PrecisionCtx(digits=30)
+    nums, b1, s, tol_exp, budget = {
+        "finish_before_spike_26": ((-6.6019675479346915, 31.415135349070596,
+                                    -22.235173119186634), -26.218990742123673,
+                                   "3.52715529504958", 11, 100),
+        "finish_before_spike_33": ((-30.825225986425195, 5.3924870733430197,
+                                    -0.062841624211401381), -32.798870135669592,
+                                   "3.97994520729278", 9, 65),
+    }[case]
+    with ctx.working():
+        s = mpf(s)
+        nums = tuple(mpf(x) for x in nums)
+        f = F3(nums, (mpf(b1), s + sum(nums) - mpf(b1)))
+    return ctx, f, s, ctx.mpf(mpf(10) ** -tol_exp), budget, False
+
+
+@pytest.mark.parametrize("case", ["cancelling_factor", "near_cancelling_factor",
+                                  "digits_400", "huge_fraction",
+                                  "finish_before_spike_26", "finish_before_spike_33"])
+def test_direct_rehearsal_edge_cases(case):
+    ctx, f, s, tol, budget, decides = _edge_case(case)
+    assert series._direct_gives_up(f, tol, budget, s) == decides
+    new = _direct_unit(f, ctx, tol, budget, s)
+    old = _frozen_direct_unit(f, ctx, tol, budget, s)
+    assert (new is None) == (old is None)
+    if new is not None:
+        _same(new, old)
+    if case.startswith("finish_before_spike"):
+        assert new is not None and new.terms_used == int(case[-2:])
+
+
+def test_direct_rehearsal_skips_suite_points(monkeypatch):
+    """Suite-like points at tol 1e-20 never reach the mp term generator."""
+    ctx = PrecisionCtx(digits=30)
+    tol = ctx.mpf(mpf(10) ** -20)
+    points = [(f, s) for f, s in _watson_points(ctx, 17, 40, s_lo=1.0, s_hi=4.0) if s > 1]
+
+    def no_terms(*args):
+        raise AssertionError("the mp loop ran")
+
+    monkeypatch.setattr(series, "_terms", no_terms)
+    for f, s in points:
+        assert _direct_unit(f, ctx, tol, series.DIRECT_MAX_TERMS, s) is None
 
 
 @pytest.mark.parametrize("digits", [30, 100])
