@@ -28,7 +28,13 @@ list per (k, beta, precision), filled lazily on first use and holding exactly
 the values :func:`_levin_coeff` rounds.  The memo holds at most
 ``_LEVIN_MEMO_CAP`` coefficients in all; the oldest precision is evicted to make
 room, and a row that cannot fit even then is computed without being stored.
-The tableau update runs on the same raw tuples with the same roundings.
+The tableau is held as signed integer mantissas and exponents, two plain int
+lists per array, and each entry update x[n] = x[n+1] - b x[n] runs inline
+(:func:`_levin_order`): the product is rounded once to nearest-even at the
+working precision, aligned and subtracted exactly, and rounded once more.
+``mpf_mul`` and ``mpf_sub`` are each correctly rounded to nearest-even, so
+every entry has exactly the value the libmp tuple form gives, and only N[0]
+and D[0] are packed back into mpf tuples, once per order.
 """
 
 from __future__ import annotations
@@ -42,8 +48,8 @@ from typing import Optional, Tuple
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import (finf, fone, fzero, from_int, mpf_abs, mpf_add, mpf_div,
-                          mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_sub,
+from mpmath.libmp import (finf, fone, fzero, from_int, from_man_exp, mpf_abs, mpf_add,
+                          mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_sub,
                           round_nearest)
 
 from .mpnum import PrecisionCtx, as_rational, nearest_nonpos_int, to_mpf_ambient
@@ -161,6 +167,22 @@ def termination_degree(f: PFQ, pole_guard: float = 0.05) -> Optional[int]:
     return best
 
 
+def _termination(f: PFQ, guard) -> Optional[int]:
+    """termination_degree(f, guard), refused when a numerator only nearly terminates.
+
+    A float or mpf numerator within guard of -m but not equal to it would cut
+    off a series that does not end at m, so it raises SeriesError naming it.
+    """
+    m = termination_degree(f, guard)
+    if m is not None and m != termination_degree(f, 0):
+        a = next(a for a in f.numerators if _near_pole(a, guard) == -m)
+        raise SeriesError(
+            f"numerator parameter {a} lies within {guard} of nonpositive integer {-m} "
+            f"but is not equal to it, so the series does not terminate there"
+        )
+    return m
+
+
 def _near_pole(x, guard) -> Optional[int]:
     """The nonpositive integer x counts as: exactly for int/Fraction, within guard otherwise."""
     return nearest_nonpos_int(x, 0 if as_rational(x) is not None else guard)
@@ -275,9 +297,11 @@ def default_tolerance(ctx: PrecisionCtx) -> mpf:
 def eval_unit(f: PFQ, ctx: PrecisionCtx, tol=None, max_terms: Optional[int] = None) -> EvalResult:
     """Evaluate a pFq at z = 1.
 
-    Terminating series are summed exactly (rational data) or term by term.
-    Convergent series go through direct summation when the algebraic tail
-    bound can reach tol inside the budget, otherwise through the accelerator.
+    Terminating series are summed exactly (rational data) or term by term;
+    a float or mpf numerator within pole_guard of -m but not equal to it
+    raises SeriesError rather than cut the series off at m.  Convergent
+    series go through direct summation when the algebraic tail bound can
+    reach tol inside the budget, otherwise through the accelerator.
     If tol is unreachable, the best estimate is returned with converged False
     and an honest bound.
     """
@@ -286,7 +310,7 @@ def eval_unit(f: PFQ, ctx: PrecisionCtx, tol=None, max_terms: Optional[int] = No
     if tol is None:
         tol = default_tolerance(ctx)
     tol = ctx.mpf(tol)
-    m = termination_degree(f, ctx.pole_guard)
+    m = _termination(f, ctx.pole_guard)
     _check_denominators(f, m, ctx.pole_guard)
     if m is not None:
         return _finite_sum_result(f, ctx, m)
@@ -305,11 +329,14 @@ def eval_unit(f: PFQ, ctx: PrecisionCtx, tol=None, max_terms: Optional[int] = No
 
 
 def eval_general(f: PFQ, ctx: PrecisionCtx, tol=None, max_terms: Optional[int] = None) -> EvalResult:
-    """Evaluate a pFq inside the unit disk (|z| < 1) or a terminating one anywhere."""
+    """Evaluate a pFq inside the unit disk (|z| < 1) or a terminating one anywhere.
+
+    Termination is decided as in :func:`eval_unit`.
+    """
     if tol is None:
         tol = default_tolerance(ctx)
     tol = ctx.mpf(tol)
-    m = termination_degree(f, ctx.pole_guard)
+    m = _termination(f, ctx.pole_guard)
     _check_denominators(f, m, ctx.pole_guard)
     if m is not None:
         return _finite_sum_result(f, ctx, m)
@@ -566,6 +593,67 @@ class _LevinCoefficients:
 _LEVIN_COEFFS = _LevinCoefficients(_LEVIN_MEMO_CAP)
 
 
+def _levin_order(xm: list, xe: list, coeffs: list, length: int, prec: int):
+    """One Levin order on one tableau array: x[n] = x[n+1] - b_n x[n] for n < length.
+
+    Entry n has the value xm[n] * 2**xe[n], a signed integer mantissa of at
+    most prec bits (prec + 1 after a carry to a power of two) and an
+    exponent; coeffs are raw mpf tuples.  Each step runs inline: the product
+    b_n x[n] is rounded once to nearest-even at prec, shift-aligned against
+    x[n+1], subtracted exactly and rounded once more.  When the exponents
+    are more than 100 apart the subtraction goes to ``mpf_sub`` on packed
+    tuples, so no shift grows beyond prec + 100 bits.
+
+    Why each entry equals ``mpf_sub(x[n+1], mpf_mul(b_n, x[n], prec), prec)``
+    bit for bit: ``mpf_mul`` and ``mpf_sub`` each return the exact result
+    rounded once to nearest-even at prec.  (For ``mpf_sub`` this holds on
+    its perturbed path for far-apart exponents too, because both operands
+    hold at most prec significant bits, as every entry and rounded product
+    here does.)  The step forms the same exact product and difference and
+    rounds each once by the same rule, so each entry has the same value,
+    whatever trailing zeros its mantissa carries, and only values feed the
+    next step.  Python's ``>>`` floors and ``&`` reads two's complement, so
+    for a negative mantissa r and the mask see the round and sticky bits of
+    the value itself, and the rule rounds it half to even, as libmp does
+    with the magnitude.
+    """
+    m1, e1 = xm[0], xe[0]
+    for n in range(length):
+        m0, e0 = m1, e1
+        m1, e1 = xm[n + 1], xe[n + 1]
+        if not m0:
+            xm[n], xe[n] = m1, e1
+            continue
+        bsign, p, pe, _ = coeffs[n]
+        p *= -m0 if bsign else m0
+        pe += e0
+        sh = p.bit_length() - prec
+        if sh > 0:
+            # round to nearest-even: r ends in the round bit, the mask holds
+            # the sticky bits below it
+            r = p >> (sh - 1)
+            p = (r >> 1) + 1 if r & 1 and (r & 2 or p & ((1 << (sh - 1)) - 1)) else r >> 1
+            pe += sh
+        if not m1:
+            xm[n], xe[n] = -p, pe
+            continue
+        off = e1 - pe
+        if off > 100 or off < -100:
+            sign, man, exp, _ = mpf_sub(from_man_exp(m1, e1), from_man_exp(p, pe), prec, _RND)
+            xm[n], xe[n] = -man if sign else man, exp
+            continue
+        if off >= 0:
+            d, de = (m1 << off) - p, pe
+        else:
+            d, de = m1 - (p << -off), e1
+        sh = d.bit_length() - prec
+        if sh > 0:
+            r = d >> (sh - 1)
+            d = (r >> 1) + 1 if r & 1 and (r & 2 or d & ((1 << (sh - 1)) - 1)) else r >> 1
+            de += sh
+        xm[n], xe[n] = d, de
+
+
 def _levin_scan(terms, tol, beta: int = 1):
     """Levin u-type extrapolation over the partial sums of ``terms`` (raw mpf tuples).
 
@@ -574,52 +662,60 @@ def _levin_scan(terms, tol, beta: int = 1):
     minimizes that spread, so a single lucky gap coincidence cannot shrink
     the bound on its own.  Scanning stops early only after three consecutive
     orders already agree within tol/4, which forces bound <= tol at the break.
+
+    tol is an mpf.  The N and D tableaux are held as signed integer
+    mantissas and exponents and updated by :func:`_levin_order`; only N[0]
+    and D[0] are packed into raw mpf tuples, once per order, for the
+    estimate.  Estimates, gaps and their sums are rounded to nearest at the
+    ambient precision in the order of the mpf expressions ``N[0] / D[0]``,
+    ``abs(e_k - e_{k-1})``, ``g_k + g_{k-1}`` and ``2 * pair``.
     """
     prec = mpmath.mp.prec
     M = len(terms)
-    N, D = [], []
+    Nm, Ne, Dm, De = [], [], [], []
     acc = fzero
     for n, t in enumerate(terms):
         acc = mpf_add(acc, t, prec, _RND)
         weight = mpf_mul_int(t, beta + n, prec, _RND)
-        N.append(mpf_div(acc, weight, prec, _RND))
-        D.append(mpf_div(fone, weight, prec, _RND))
+        for x, xm, xe in ((mpf_div(acc, weight, prec, _RND), Nm, Ne),
+                          (mpf_div(fone, weight, prec, _RND), Dm, De)):
+            xm.append(-x[1] if x[0] else x[1])
+            xe.append(x[2])
     prev_est = None
-    gaps = [mpmath.inf]
+    gaps = [finf]
     ests = [None]
     small_streak = 0
-    quarter_tol = tol / 4
+    quarter_tol = (tol / 4)._mpf_
     for k in range(1, M):
         coeffs = _LEVIN_COEFFS.row(k, beta, prec, M - k)
-        for n in range(M - k):
-            b = coeffs[n]
-            N[n] = mpf_sub(N[n + 1], mpf_mul(b, N[n], prec, _RND), prec, _RND)
-            D[n] = mpf_sub(D[n + 1], mpf_mul(b, D[n], prec, _RND), prec, _RND)
-        d0 = _make_mpf(D[0])
-        est = _make_mpf(N[0]) / d0 if d0 != 0 else None
+        _levin_order(Nm, Ne, coeffs, M - k, prec)
+        _levin_order(Dm, De, coeffs, M - k, prec)
+        est = None
+        if Dm[0]:
+            est = mpf_div(from_man_exp(Nm[0], Ne[0]), from_man_exp(Dm[0], De[0]), prec, _RND)
         ests.append(est)
         if est is None or prev_est is None:
-            gaps.append(mpmath.inf)
+            gaps.append(finf)
         else:
-            gap = abs(est - prev_est)
+            gap = mpf_abs(mpf_sub(est, prev_est, prec, _RND), prec, _RND)
             gaps.append(gap)
-            small_streak = small_streak + 1 if gap <= quarter_tol else 0
+            small_streak = small_streak + 1 if mpf_le(gap, quarter_tol) else 0
             if small_streak >= 3 and k >= 6:
                 break
         if est is not None:
             prev_est = est
     best_k = None
-    best_pair = mpmath.inf
+    best_pair = finf
     for k in range(4, len(gaps)):
         if ests[k] is None:
             continue
-        pair = gaps[k] + gaps[k - 1]
-        if pair < best_pair:
+        pair = mpf_add(gaps[k], gaps[k - 1], prec, _RND)
+        if mpf_lt(pair, best_pair):
             best_pair = pair
             best_k = k
     if best_k is None:
         return None, mpmath.inf, 0
-    return ests[best_k], 2 * best_pair, best_k
+    return _make_mpf(ests[best_k]), _make_mpf(mpf_mul_int(best_pair, 2, prec, _RND)), best_k
 
 
 def _accelerated_unit(f: PFQ, ctx: PrecisionCtx, tol, max_partial: int) -> EvalResult:

@@ -191,3 +191,51 @@ def test_direct_skip_audit_counts_and_fails_on_unsound_skip(capsys, monkeypatch)
     monkeypatch.setattr(audit.series, "_direct_gives_up", lambda *args: True)
     assert audit.main(["--count", "60", "--seed", "5"]) == 1
     assert "unsound skip at point" in capsys.readouterr().out
+
+
+def test_levin_exact_audit_passes_and_fails_on_an_ulp(capsys, monkeypatch):
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "levin_exact_audit.py"
+    spec = importlib.util.spec_from_file_location("levin_exact_audit", path)
+    audit = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(audit)
+    assert audit.main(["--count", "12", "--seed", "5"]) == 0
+    assert "differences 0" in capsys.readouterr().out
+    # a tableau step one unit in the last place off in entry 0
+    real = audit.series._levin_order
+
+    def off_by_one_ulp(xm, xe, coeffs, length, prec):
+        real(xm, xe, coeffs, length, prec)
+        xm[0] += 1
+
+    monkeypatch.setattr(audit.series, "_levin_order", off_by_one_ulp)
+    assert audit.main(["--count", "12", "--seed", "5"]) == 1
+    assert "difference at point" in capsys.readouterr().out
+
+
+def test_bench_record_summary_applies_the_gain_rule():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record)
+
+    def pairs(parent, change):
+        return [{"parent": {"metrics": {"wall_s": p, "ops_per_s": 1 / p}},
+                 "change": {"metrics": {"wall_s": c, "ops_per_s": 1 / c}}}
+                for p, c in zip(parent, change)]
+
+    spec = {"wall_s": "lower", "ops_per_s": "higher"}
+    faster = record.summarize(pairs([5.0, 5.2, 5.1, 4.9], [4.0, 4.1, 3.9, 4.2]), spec)
+    assert faster["wall_s"]["change_wins"] == 4 and faster["wall_s"]["gain_shown"]
+    assert faster["ops_per_s"]["change_wins"] == 4 and faster["ops_per_s"]["gain_shown"]
+    assert faster["wall_s"]["parent"]["median"] == 5.05
+    # one lost pair in four is below nine tenths; a gap inside the spread shows nothing
+    mixed = record.summarize(pairs([5.0, 5.2, 5.1, 4.9], [4.0, 5.3, 3.9, 4.2]), spec)
+    assert mixed["wall_s"]["change_wins"] == 3 and not mixed["wall_s"]["gain_shown"]
+    close = record.summarize(pairs([5.0, 6.0, 4.0, 5.5], [4.9, 5.9, 3.9, 5.4]), spec)
+    assert close["wall_s"]["change_wins"] == 4 and not close["wall_s"]["gain_shown"]

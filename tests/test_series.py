@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf
+from mpmath.libmp import fone, fzero, from_man_exp, mpf_mul, mpf_sub, round_nearest
 
 from watsonlab import series
 from watsonlab.mpnum import PrecisionCtx, to_mpf_ambient
@@ -124,6 +125,17 @@ def test_eval_unit_exact_denominator_near_pole_is_summed():
     # the same value as a float still falls inside the guard
     with pytest.raises(SeriesError):
         eval_unit(F3((1, 1, 1), (-0.975, 5)), ctx)
+
+
+def test_inexact_numerator_near_pole_is_refused():
+    # within pole_guard of -m but not equal: the series does not end at m
+    with pytest.raises(SeriesError, match="numerator parameter -0.97"):
+        eval_unit(F3((mpf("-0.97"), 1, 2), (1.5, 4)), CTX)
+    with pytest.raises(SeriesError, match="numerator parameter -6.02"):
+        eval_general(F3((mpf("-6.02"), 2), (3,), Fraction(1, 3)), CTX)
+    # an exact nonpositive integer among the numerators still ends the series
+    res = eval_unit(F3((mpf("-0.97"), -1, 2), (1.5, 4)), CTX)
+    assert res.converged and res.terms_used == 2
 
 
 def test_eval_general_at_zero_and_half():
@@ -560,6 +572,71 @@ def test_direct_rehearsal_skips_suite_points(monkeypatch):
         assert _direct_unit(f, ctx, tol, series.DIRECT_MAX_TERMS, s) is None
 
 
+def _levin_step(b, x0, x1, prec):
+    """x1 - b x0 through the integer tableau step, as a normalized raw mpf."""
+    xm = [-x[1] if x[0] else x[1] for x in (x0, x1)]
+    xe = [x0[2], x1[2]]
+    series._levin_order(xm, xe, [b], 1, prec)
+    return from_man_exp(xm[0], xe[0])
+
+
+def _raw_odd(rng, bits, exp, sign=0):
+    """A raw mpf with an odd mantissa of exactly `bits` bits, so exp stays as given."""
+    return (sign, rng.getrandbits(bits - 1) | (1 << (bits - 1)) | 1, exp, bits)
+
+
+def _step_cases(prec, rng):
+    """(label, b, x0, x1) raw operands for the tableau step at prec."""
+    cases = []
+    top = (1 << prec) - 1
+    # b x0 exactly half-way: 3 m0 has prec + 1 bits and is odd
+    m0 = (1 << (prec - 1)) | (rng.getrandbits(prec - 4) << 1) | 1
+    assert (3 * m0).bit_length() == prec + 1
+    cases.append(("product_tie", (0, 3, -5, 2), (0, m0, -prec, prec), _raw_odd(rng, prec, -prec)))
+    # x1 - b x0 exactly half-way: 2 m1 - m0 has prec + 1 bits and is odd
+    m1 = top - 2 * rng.getrandbits(prec - 4)
+    x0 = from_man_exp(2 * rng.getrandbits(prec - 5) + 1, -prec - 1)
+    assert ((m1 << 1) - x0[1]).bit_length() == prec + 1
+    cases.append(("difference_tie", fone, x0, (0, m1, -prec, prec)))
+    # all ones rounding up to a power of two: (2^h - 1)(2^h + 1) in the product,
+    # 2 (2^prec - 1) + 1 in the difference
+    h = prec - 1
+    cases.append(("product_carry", (0, (1 << h) - 1, 3, h), (0, (1 << h) + 1, -7, h + 1), fzero))
+    cases.append(("difference_carry", fone, (1, 1, -9, 1), (0, top, -8, prec)))
+    # zeros on either side, and full cancellation
+    x = _raw_odd(rng, prec, -prec)
+    b = _raw_odd(rng, prec, -prec + 1)
+    cases += [("zero_x0", b, fzero, x), ("zero_x1", b, x, fzero), ("zero_both", b, fzero, fzero),
+              ("cancel", b, x, mpf_mul(b, x, prec, round_nearest)),
+              ("cancel_exact", fone, x, x)]
+    # exponent offsets of x1 against the exact product x0 (b = 1), on each
+    # side of the 100 where the step hands the subtraction to libmp
+    for off in (99, 100, 101, 140, -99, -100, -101, -140):
+        for sign in (0, 1):
+            x0 = _raw_odd(rng, prec, -prec, sign)
+            cases.append((f"offset_{off}", fone, x0, _raw_odd(rng, prec, -prec + off)))
+    for n in range(300):
+        def draw(lo, hi):
+            if rng.random() < 0.05:
+                return fzero
+            bits = rng.choice((1, 2, prec // 2, prec - 1, prec, prec))
+            return from_man_exp(rng.choice((1, -1)) * (rng.getrandbits(bits) | 1),
+                                rng.randint(lo, hi), prec, round_nearest)
+        b, x0 = draw(-prec - 4, -prec + 4), draw(-prec - 150, -prec + 150)
+        x1 = mpf_mul(b, x0, prec, round_nearest) if n % 10 == 0 else draw(-prec - 150, -prec + 150)
+        cases.append(("random", b, x0, x1))
+    return cases
+
+
+@pytest.mark.parametrize("prec", [53, 113, 226, 286, 3400])
+def test_levin_step_rounds_as_libmp(prec):
+    """Each integer tableau entry equals mpf_sub(x1, mpf_mul(b, x0)) at prec."""
+    rng = random.Random(prec)
+    for label, b, x0, x1 in _step_cases(prec, rng):
+        want = mpf_sub(x1, mpf_mul(b, x0, prec, round_nearest), prec, round_nearest)
+        assert _levin_step(b, x0, x1, prec) == want, (label, b, x0, x1)
+
+
 @pytest.mark.parametrize("digits", [30, 100])
 def test_eval_general_bit_exact(digits):
     ctx = PrecisionCtx(digits=digits)
@@ -573,14 +650,14 @@ def test_eval_general_bit_exact(digits):
                       F3((a, b), (a + b + mpf(1) / 2,), 4 * x * (1 - x))):
                 _same(eval_general(f, ctx, tol=tol), _frozen_eval_general(f, ctx, tol))
         # terminating with inexact data: the floating-point finite sum
-        f = F3((mpf("-6.02"), a), (b + 1,), x)
+        f = F3((mpf("-6"), a), (b + 1,), x)
         _same(eval_general(f, ctx, tol=tol), _frozen_eval_general(f, ctx, tol))
 
 
 def test_finite_sum_unit_argument_bit_exact():
     ctx = PrecisionCtx(digits=30)
     with ctx.working():
-        f = F3((mpf("-3.98"), mpf("1.3"), mpf("0.7")), (mpf("2.9"), mpf("4.1")))
+        f = F3((mpf("-4"), mpf("1.3"), mpf("0.7")), (mpf("2.9"), mpf("4.1")))
     _same(eval_unit(f, ctx), _frozen_finite_sum(f, ctx, 4))
 
 
