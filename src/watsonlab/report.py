@@ -25,7 +25,7 @@ def fmt_num(x) -> Optional[str]:
     return mpmath.nstr(x, _FMT_DIGITS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationInstance:
     """One evaluated sample of a relation: both sides, residuals, and bounds.
 

@@ -371,6 +371,9 @@ def _debranges_points(grid: dict, ctx: Optional[PrecisionCtx] = None) -> List[di
     return pts
 
 
+_ZERO = Fraction(0)     # shared by the zeros of the suite's ~1,300 grid instances
+
+
 def _debranges_instance(sample: dict, ctx: PrecisionCtx, tol) -> RelationInstance:
     n, alpha, x = sample["n"], sample["alpha"], sample["x"]
     params = {"n": Fraction(n), "alpha": alpha, "x": x}
@@ -378,7 +381,7 @@ def _debranges_instance(sample: dict, ctx: PrecisionCtx, tol) -> RelationInstanc
             (alpha + 1, (alpha + 3) / 2), x)
     value = eval_exact(f)
     if value > 0:
-        violation = Fraction(0)
+        violation = _ZERO
     elif value < 0:
         violation = -value
     else:
@@ -386,8 +389,8 @@ def _debranges_instance(sample: dict, ctx: PrecisionCtx, tol) -> RelationInstanc
     scale = max(abs(value), Fraction(1))
     return RelationInstance(
         relation_id="debranges", index=0, kind="grid", lattice_indices=None,
-        params=params, lhs=value, rhs=Fraction(0), abs_residual=violation,
-        rel_residual=violation / scale, eval_bounds=Fraction(0),
+        params=params, lhs=value, rhs=_ZERO, abs_residual=violation,
+        rel_residual=violation / scale if violation else _ZERO, eval_bounds=_ZERO,
         converged=True, exact=True)
 
 
