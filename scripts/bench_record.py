@@ -37,7 +37,7 @@ def checkout(path: Path) -> dict:
                               text=True, check=True).stdout.strip()
     lines = sum(len(p.read_text().splitlines())
                 for p in (path / "src" / "watsonlab").glob("*.py"))
-    return {"dir": str(path), "sha": git("rev-parse", "--short", "HEAD"),
+    return {"sha": git("rev-parse", "--short", "HEAD"),
             "dirty": bool(git("status", "--porcelain")), "src_watsonlab_lines": lines}
 
 
