@@ -2,19 +2,19 @@
 """Record paired benchmark runs of a parent and a change checkout in BENCH_<sha>.json.
 
 Runs the command of the change checkout's BENCHMARK.json (perfbench/run.py)
-inside each checkout, pair by pair: pair i uses seed SEED + i and
-run_seconds from BENCHMARK.json, and the parent runs first in even pairs,
-the change in odd ones, so host drift falls on both sides alike.  The
-script writes only the record; run.py itself leaves the checkouts as they
-are.
+inside each checkout, pair by pair: pair i uses seed 11 + i (the second
+seed set of perfbench/collect.py) and run_seconds from BENCHMARK.json, and
+the parent runs first in even pairs, the change in odd ones, so host drift
+falls on both sides alike.  The script writes only the record; run.py
+itself leaves the checkouts as they are.
 
 The record holds every run's end-to-end metrics, correctness and report
-SHA-256, and per metric each side's median and quartiles (as
-statistics.quantiles gives them), the change in the median, the number of
-pairs the change won, and whether that shows a gain: the change wins at
-least nine tenths of the pairs and the medians differ by more than the
-parent's quartile spread.  It also holds each checkout's commit and the
-line count of its src/watsonlab.
+SHA-256, and per metric each side's median and quartiles (perfbench's
+quartiles), the change in the median, the number of pairs the change won,
+and whether that shows a gain: the change wins at least nine tenths of the
+pairs and the medians differ by more than the parent's quartile spread.
+It also holds each checkout's commit and the line count of its
+src/watsonlab, as that checkout's perfbench/collect.py counts it.
 
     python scripts/bench_record.py --parent ../parent --change . \\
         --workload suite_d30 --workload gamma_d100 --pairs 10
@@ -22,23 +22,28 @@ line count of its src/watsonlab.
 
 import argparse
 import json
-import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+from run import quartiles  # noqa: E402
+
 REPORT_SHA = "report sha256 "
+FIRST_SEED = 11
+SRC_LINES = "import sys; sys.path.insert(0, 'perfbench'); from collect import src_lines; print(src_lines())"
 
 
 def checkout(path: Path) -> dict:
     def git(*args):
         return subprocess.run(["git", "-C", str(path), *args], capture_output=True,
                               text=True, check=True).stdout.strip()
-    lines = sum(len(p.read_text().splitlines())
-                for p in (path / "src" / "watsonlab").glob("*.py"))
+    lines = subprocess.run([sys.executable, "-c", SRC_LINES], cwd=path, capture_output=True,
+                           text=True, check=True).stdout.strip()
     return {"sha": git("rev-parse", "--short", "HEAD"),
-            "dirty": bool(git("status", "--porcelain")), "src_watsonlab_lines": lines}
+            "dirty": bool(git("status", "--porcelain")), "src_watsonlab_lines": int(lines)}
 
 
 def run_once(path: Path, command, workload: str, seed: int, seconds) -> dict:
@@ -57,13 +62,6 @@ def run_once(path: Path, command, workload: str, seed: int, seconds) -> dict:
             "report_sha256": shas[0] if shas else None,
             "metrics": {k: v["value"] for k, v in result.get("metrics", {}).items()},
             "elapsed_s": round(time.perf_counter() - t0, 2)}
-
-
-def quartiles(values):
-    if len(values) < 2:
-        return values[0], values[0], values[0]
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return q1, statistics.median(values), q3
 
 
 def summarize(pairs, spec) -> dict:
@@ -95,7 +93,6 @@ def main(argv=None):
     ap.add_argument("--workload", action="append", required=True,
                     help="a workload of BENCHMARK.json; repeat for more")
     ap.add_argument("--pairs", type=int, default=10, help="pairs of runs (default 10)")
-    ap.add_argument("--seed", type=int, default=11, help="seed of the first pair (default 11)")
     ap.add_argument("--out", type=Path, help="output path (default BENCH_<change sha>.json)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
@@ -110,7 +107,7 @@ def main(argv=None):
     for workload in args.workload:
         pairs = []
         for i in range(args.pairs):
-            seed = args.seed + i
+            seed = FIRST_SEED + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {"seed": seed, "first": order[0]}
             for side in order:

@@ -26,8 +26,7 @@ from mpmath import mpf
 from . import closedform
 from .mpnum import NumeratorPole, PrecisionCtx, as_rational, to_mpf_ambient
 from .report import RelationInstance, finish_instance
-from .series import (PFQ, DivergentSeries, EvalResult, eval_unit,
-                     termination_degree)
+from .series import PFQ, DivergentSeries, EvalResult, eval_unit, series_end
 
 
 class PreconditionViolation(ValueError):
@@ -114,12 +113,14 @@ def eval_point(p: WatsonPoint, ctx: PrecisionCtx, tol=None,
 
     Dispatch: exact rational summation when the series terminates with exact
     data; a registry-verified closed form on the rows that have one; otherwise
-    series evaluation.  During adjudication the caller passes
+    series evaluation.  A numerator that only nearly ends the series (see
+    series_end) skips the closed form, whose gamma factors would read it as
+    the integer, and eval_unit refuses it.  During adjudication the caller passes
     use_closed_forms=False so trust never becomes circular.
     """
     f = to_pfq(p)
-    terminating = termination_degree(f, ctx.pole_guard) is not None
-    if use_closed_forms and not terminating:
+    m, near = series_end(f, ctx.pole_guard)
+    if use_closed_forms and m is None and near is None:
         form_id = _FORM_FOR_ROW.get((p.i, p.j))
         if form_id is not None and closedform.registry_verdict(form_id).status == "verified":
             try:
@@ -145,7 +146,7 @@ def _point_value(p: WatsonPoint, ctx: PrecisionCtx, tol):
 
 def _require_convergent_or_terminating(p: WatsonPoint, ctx: PrecisionCtx, label: str):
     f = to_pfq(p)
-    if termination_degree(f, ctx.pole_guard) is not None:
+    if series_end(f, ctx.pole_guard)[0] is not None:
         return
     if float(to_mpf_ambient(margin(p))) <= 0:
         raise PreconditionViolation(

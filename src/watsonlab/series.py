@@ -44,7 +44,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Optional, Tuple
+from typing import Any, Optional, Tuple
 
 import mpmath
 from mpmath import mpf
@@ -157,7 +157,8 @@ def termination_degree(f: PFQ, pole_guard: float = 0.05) -> Optional[int]:
     When present the series is the finite sum over n = 0..m.  Exact (int or
     Fraction) numerators terminate only at an exact nonpositive integer;
     parameters that arrive as floats or mpf within the guard of a nonpositive
-    integer are treated as that integer.
+    integer are treated as that integer.  Evaluation does not cut a series
+    off there: it ends a series by :func:`series_end`.
     """
     best = None
     for a in f.numerators:
@@ -167,18 +168,36 @@ def termination_degree(f: PFQ, pole_guard: float = 0.05) -> Optional[int]:
     return best
 
 
-def _termination(f: PFQ, guard) -> Optional[int]:
-    """termination_degree(f, guard), refused when a numerator only nearly terminates.
+def series_end(f: PFQ, pole_guard: float = 0.05) -> Tuple[Optional[int], Any]:
+    """(m, near): where the series ends, and a numerator that only nearly ends it.
 
-    A float or mpf numerator within guard of -m but not equal to it would cut
-    off a series that does not end at m, so it raises SeriesError naming it.
+    m is the least m with a numerator equal to -m, or None; the series is
+    then the finite sum over n = 0..m whatever the other numerators are.
+    When no numerator ends it, near is a float or mpf numerator within
+    pole_guard of a nonpositive integer but not equal to it (else None):
+    termination_degree would read it as that integer and cut off a series
+    that does not end.
     """
-    m = termination_degree(f, guard)
-    if m is not None and m != termination_degree(f, 0):
-        a = next(a for a in f.numerators if _near_pole(a, guard) == -m)
+    m = near = None
+    for a in f.numerators:
+        k = _near_pole(a, pole_guard)
+        if k is None:
+            continue
+        if _near_pole(a, 0) is not None:
+            m = -k if m is None else min(m, -k)
+        elif near is None:
+            near = a
+    return m, (near if m is None else None)
+
+
+def _termination(f: PFQ, guard) -> Optional[int]:
+    """series_end's m; SeriesError naming a numerator that only nearly ends the series."""
+    m, near = series_end(f, guard)
+    if near is not None:
         raise SeriesError(
-            f"numerator parameter {a} lies within {guard} of nonpositive integer {-m} "
-            f"but is not equal to it, so the series does not terminate there"
+            f"numerator parameter {near} lies within {guard} of nonpositive integer "
+            f"{_near_pole(near, guard)} but is not equal to it, so the series does not "
+            "terminate there"
         )
     return m
 
@@ -297,9 +316,10 @@ def default_tolerance(ctx: PrecisionCtx) -> mpf:
 def eval_unit(f: PFQ, ctx: PrecisionCtx, tol=None, max_terms: Optional[int] = None) -> EvalResult:
     """Evaluate a pFq at z = 1.
 
-    Terminating series are summed exactly (rational data) or term by term;
-    a float or mpf numerator within pole_guard of -m but not equal to it
-    raises SeriesError rather than cut the series off at m.  Convergent
+    Terminating series (:func:`series_end`) are summed exactly (rational
+    data) or term by term; when no numerator ends the series, a float or mpf
+    numerator within pole_guard of -m but not equal to it raises SeriesError
+    rather than cut the series off at m.  Convergent
     series go through direct summation when the algebraic tail bound can
     reach tol inside the budget, otherwise through the accelerator.
     If tol is unreachable, the best estimate is returned with converged False

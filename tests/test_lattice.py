@@ -12,7 +12,7 @@ from watsonlab.lattice import (DivergentPoint, PreconditionViolation,
                                margin, recurrence_residual, reduce_to_watson,
                                three_term_corrected, three_term_printed, to_pfq)
 from watsonlab.mpnum import PrecisionCtx
-from watsonlab.series import eval_unit
+from watsonlab.series import SeriesError, eval_unit
 
 CTX = PrecisionCtx(digits=30)
 
@@ -87,6 +87,21 @@ def test_eval_point_rational_near_pole_is_not_exact():
         a = mpf(-39) / 40
         ref = mpmath.hyp3f2(a, 1, 2, (a + 2) / 2, 4, 1)
         assert abs(res.value - ref) <= res.abs_err_bound
+
+
+def test_eval_point_inexact_near_pole_numerator_is_refused():
+    # a = -0.97 as a float nearly ends the series at n = 1 but does not; the
+    # verified Watson form would read it as -1 and give that point's value 0
+    # (hyp3f2: 0.0409...), so the closed form is skipped and the series refuses
+    closedform.reset_registry()
+    try:
+        closedform.record_adjudication("watson_00", "identity", 150, mpf("1e-25"), ("t", 0, 30, 150))
+        with pytest.raises(SeriesError, match="numerator parameter -0.97"):
+            eval_point(WatsonPoint(-0.97, 1, 2, 0, 0), CTX)
+        with pytest.raises(PreconditionViolation, match="does not terminate"):
+            recurrence_residual(WatsonPoint(-0.97, 1, -1.5, 0, 0), CTX)
+    finally:
+        closedform.reset_registry()
 
 
 def test_eval_point_divergent():

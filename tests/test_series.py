@@ -136,6 +136,12 @@ def test_inexact_numerator_near_pole_is_refused():
     # an exact nonpositive integer among the numerators still ends the series
     res = eval_unit(F3((mpf("-0.97"), -1, 2), (1.5, 4)), CTX)
     assert res.converged and res.terms_used == 2
+    a = mpf("-0.97")
+    res = eval_unit(F3((a, -5, 2), (1.5, 4)), CTX)
+    assert res.converged and res.terms_used == 6
+    with mpmath.workdps(60):
+        ref = mpmath.hyp3f2(a, -5, 2, 1.5, 4, 1)
+        assert abs(res.value - ref) <= res.abs_err_bound
 
 
 def test_eval_general_at_zero_and_half():
