@@ -115,8 +115,8 @@ def eval_point(p: WatsonPoint, ctx: PrecisionCtx, tol=None,
     data; a registry-verified closed form on the rows that have one; otherwise
     series evaluation.  A numerator that only nearly ends the series (see
     series_end) skips the closed form, whose gamma factors would read it as
-    the integer, and eval_unit refuses it.  During adjudication the caller passes
-    use_closed_forms=False so trust never becomes circular.
+    the integer, and eval_unit refuses it.  During adjudication the caller
+    passes use_closed_forms=False so trust never becomes circular.
     """
     f = to_pfq(p)
     m, near = series_end(f, ctx.pole_guard)

@@ -319,9 +319,9 @@ def eval_unit(f: PFQ, ctx: PrecisionCtx, tol=None, max_terms: Optional[int] = No
     Terminating series (:func:`series_end`) are summed exactly (rational
     data) or term by term; when no numerator ends the series, a float or mpf
     numerator within pole_guard of -m but not equal to it raises SeriesError
-    rather than cut the series off at m.  Convergent
-    series go through direct summation when the algebraic tail bound can
-    reach tol inside the budget, otherwise through the accelerator.
+    rather than cut the series off at m.  Convergent series go through
+    direct summation when the algebraic tail bound can reach tol inside the
+    budget, otherwise through the accelerator.
     If tol is unreachable, the best estimate is returned with converged False
     and an honest bound.
     """
