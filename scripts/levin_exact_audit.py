@@ -8,10 +8,12 @@ cycles through 32, 64 and 128.  Half are the suite's f_{i,j} points,
 a1, a2, a3 in (-40, 40) and b1 in (-60, 40), whose terms change sign and
 span many binades, so tableau entries cancel and their exponents drift apart.
 
-For each point it generates the first M terms at the working precision the
-accelerated route would use for that M, runs series._levin_scan and the
-frozen copy below on them, and compares (estimate, bound, order) with ==.
-Prints the counts and exits 1 on any difference.
+For each point it draws terms at the working precision the accelerated route
+would use for that M and feeds them as that route does: series._levin_scan
+gets a lazy iterator of at most M terms and builds the tableau by
+counter-diagonals, stopping where it breaks; the frozen copy below gets the
+list of all M terms and builds it order by order.  It compares (estimate,
+bound, order) with ==, prints the counts and exits 1 on any difference.
 
     python scripts/levin_exact_audit.py --count 2000 --seed 1 --digits 30
 """
@@ -114,9 +116,10 @@ def scan_both(f, ctx, tol, M):
     target_digits = max(ctx.digits, int(-mpmath.log10(tol)) + 2)
     prec = int((target_digits + int(0.55 * M) + 15) * 3.3322) + 20
     with mpmath.workprec(prec):
-        terms = list(islice(series._terms(series._raw(f.numerators),
-                                          series._raw(f.denominators), None, prec), M))
-        return series._levin_scan(terms, tol), frozen_levin_scan(terms, tol)
+        def terms():
+            return islice(series._terms(series._raw(f.numerators),
+                                        series._raw(f.denominators), None, prec), M)
+        return series._levin_scan(terms(), M, tol), frozen_levin_scan(list(terms()), tol)
 
 
 def main(argv=None):

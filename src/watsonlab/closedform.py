@@ -144,8 +144,10 @@ def gauss_2f1_unit(a, b, c, ctx: PrecisionCtx) -> mpf:
 def watson_00(a, b, c, ctx: PrecisionCtx) -> mpf:
     """The j = 0 row closed form, valid for 2c - a - b > -1.
 
-    A pole among the denominator gammas makes the value an exact zero, which
-    matches the terminating series whenever both sides are defined.
+    A denominator gamma argument equal to a nonpositive integer makes the
+    value an exact zero, which matches the terminating series whenever both
+    sides are defined; one only within the pole guard of it raises
+    NumeratorPole (see gamma_product).
     """
     a, b, c = _coerce3(ctx, a, b, c)
     _require_excess(2 * c - a - b, -1.0, "watson_00")

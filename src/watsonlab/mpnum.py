@@ -36,7 +36,9 @@ _PRODUCT_GUARD = 15     # extra decimal digits carried inside gamma_product
 
 
 class NumeratorPole(ValueError):
-    """A gamma pole in the numerator of a gamma product; no structural cancellation."""
+    """A gamma pole that makes a closed form inapplicable: a numerator argument
+    within the pole guard of a nonpositive integer, or a denominator argument
+    within it but not equal to it (Gamma is finite there, the product not 0)."""
 
 
 def as_rational(x) -> Optional[Fraction]:
@@ -191,10 +193,12 @@ def ln_gamma(x, ctx: PrecisionCtx) -> GammaFactor:
 def gamma_product(numerators: Sequence, denominators: Sequence, ctx: PrecisionCtx) -> mpf:
     """prod Gamma(n_i) / prod Gamma(d_j) via summed log-gammas with sign bookkeeping.
 
-    A pole among the denominators (with a pole-free numerator) is an exact
-    structural zero.  Any numerator pole raises NumeratorPole: the caller must
-    treat the closed form as inapplicable, since limit evaluation is out of
-    scope here.
+    A denominator argument equal to a nonpositive integer (with a pole-free
+    numerator) makes the product an exact structural zero.  Any numerator
+    pole, and any denominator argument within the pole guard of a
+    nonpositive integer but not equal to it, raises NumeratorPole: the caller
+    must treat the closed form as inapplicable, since limit evaluation is out
+    of scope here.
 
     Log terms are summed in sorted order so permuting arguments cannot change
     the rounded result.
@@ -205,6 +209,11 @@ def gamma_product(numerators: Sequence, denominators: Sequence, ctx: PrecisionCt
         num_poles = [v for v, g in zip(numerators, num) if g.pole]
         if num_poles:
             raise NumeratorPole(f"gamma pole in numerator at {num_poles}")
+        near = [v for v, g in zip(denominators, den)
+                if g.pole and nearest_nonpos_int(v, 0) is None]
+        if near:
+            raise NumeratorPole(f"denominator argument {near[0]} lies within "
+                                f"{ctx.pole_guard} of a pole but is not equal to it")
         if any(g.pole for g in den):
             zero = mpf(0)
         else:

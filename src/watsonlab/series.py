@@ -29,12 +29,13 @@ the values :func:`_levin_coeff` rounds.  The memo holds at most
 ``_LEVIN_MEMO_CAP`` coefficients in all; the oldest precision is evicted to make
 room, and a row that cannot fit even then is computed without being stored.
 The tableau is held as signed integer mantissas and exponents, two plain int
-lists per array, and each entry update x[n] = x[n+1] - b x[n] runs inline
-(:func:`_levin_order`): the product is rounded once to nearest-even at the
-working precision, aligned and subtracted exactly, and rounded once more.
-``mpf_mul`` and ``mpf_sub`` are each correctly rounded to nearest-even, so
-every entry has exactly the value the libmp tuple form gives, and only N[0]
-and D[0] are packed back into mpf tuples, once per order.
+lists per array, and built by counter-diagonals (Weniger 1989; see
+:func:`_levin_scan`), so a scan that breaks at order K draws K + 1 terms.
+Each entry update x[n] = x[n+1] - b x[n] runs inline (:func:`_levin_climb`):
+the product is rounded once to nearest-even at the working precision,
+aligned and subtracted exactly, and rounded once more.  ``mpf_mul`` and
+``mpf_sub`` are each correctly rounded to nearest-even, so every entry has
+exactly the value the libmp tuple form gives, in any order of evaluation.
 """
 
 from __future__ import annotations
@@ -613,18 +614,28 @@ class _LevinCoefficients:
 _LEVIN_COEFFS = _LevinCoefficients(_LEVIN_MEMO_CAP)
 
 
-def _levin_order(xm: list, xe: list, coeffs: list, length: int, prec: int):
-    """One Levin order on one tableau array: x[n] = x[n+1] - b_n x[n] for n < length.
+def _levin_climb(nm: list, ne: list, dm: list, de: list, rows: list, prec: int):
+    """Climb the N and D tableaux one counter-diagonal, for the newest partial sum.
+
+    With K = len(nm) - 1, entry n < K of each array holds X_{K-1-n}[n] and
+    entry K the new X_0[K].  For n = K - 1 down to 0 the climb sets
+    x[n] = x[n+1] - b x[n] with b = rows[K-n][n], the order-k coefficient
+    for k = K - n: entry n + 1 already holds X_{k-1}[n+1], so entry n becomes
+    X_k[n], and entry 0 ends as the order-K top X_K[0].  Both arrays climb
+    in one loop, which unpacks each coefficient (a raw mpf tuple) once and
+    keeps each array's x[n+1] in a local carry; the step is written out once
+    per array, because a loop over the two arrays made the climb about a
+    tenth slower.
 
     Entry n has the value xm[n] * 2**xe[n], a signed integer mantissa of at
     most prec bits (prec + 1 after a carry to a power of two) and an
-    exponent; coeffs are raw mpf tuples.  Each step runs inline: the product
-    b_n x[n] is rounded once to nearest-even at prec, shift-aligned against
-    x[n+1], subtracted exactly and rounded once more.  When the exponents
-    are more than 100 apart the subtraction goes to ``mpf_sub`` on packed
-    tuples, so no shift grows beyond prec + 100 bits.
+    exponent.  Each step runs inline: the product b x[n] is rounded once to
+    nearest-even at prec, shift-aligned against x[n+1], subtracted
+    exactly and rounded once more.  When the exponents are more than 100
+    apart the subtraction goes to ``mpf_sub`` on packed tuples, so no shift
+    grows beyond prec + 100 bits.
 
-    Why each entry equals ``mpf_sub(x[n+1], mpf_mul(b_n, x[n], prec), prec)``
+    Why each entry equals ``mpf_sub(x[n+1], mpf_mul(b, x[n], prec), prec)``
     bit for bit: ``mpf_mul`` and ``mpf_sub`` each return the exact result
     rounded once to nearest-even at prec.  (For ``mpf_sub`` this holds on
     its perturbed path for far-apart exponents too, because both operands
@@ -632,49 +643,74 @@ def _levin_order(xm: list, xe: list, coeffs: list, length: int, prec: int):
     here does.)  The step forms the same exact product and difference and
     rounds each once by the same rule, so each entry has the same value,
     whatever trailing zeros its mantissa carries, and only values feed the
-    next step.  Python's ``>>`` floors and ``&`` reads two's complement, so
-    for a negative mantissa r and the mask see the round and sticky bits of
-    the value itself, and the rule rounds it half to even, as libmp does
-    with the magnitude.
+    next step.  Python's ``>>`` floors, so for a negative mantissa too r
+    ends in the round bit of the value itself and the bits shifted out are
+    its sticky bits, and the rule rounds it half to even, as libmp does with
+    the magnitude.
     """
-    m1, e1 = xm[0], xe[0]
-    for n in range(length):
-        m0, e0 = m1, e1
-        m1, e1 = xm[n + 1], xe[n + 1]
-        if not m0:
-            xm[n], xe[n] = m1, e1
-            continue
-        bsign, p, pe, _ = coeffs[n]
-        p *= -m0 if bsign else m0
-        pe += e0
-        sh = p.bit_length() - prec
-        if sh > 0:
-            # round to nearest-even: r ends in the round bit, the mask holds
-            # the sticky bits below it
-            r = p >> (sh - 1)
-            p = (r >> 1) + 1 if r & 1 and (r & 2 or p & ((1 << (sh - 1)) - 1)) else r >> 1
-            pe += sh
-        if not m1:
-            xm[n], xe[n] = -p, pe
-            continue
-        off = e1 - pe
-        if off > 100 or off < -100:
-            sign, man, exp, _ = mpf_sub(from_man_exp(m1, e1), from_man_exp(p, pe), prec, _RND)
-            xm[n], xe[n] = -man if sign else man, exp
-            continue
-        if off >= 0:
-            d, de = (m1 << off) - p, pe
-        else:
-            d, de = m1 - (p << -off), e1
-        sh = d.bit_length() - prec
-        if sh > 0:
-            r = d >> (sh - 1)
-            d = (r >> 1) + 1 if r & 1 and (r & 2 or d & ((1 << (sh - 1)) - 1)) else r >> 1
-            de += sh
-        xm[n], xe[n] = d, de
+    K = len(nm) - 1
+    n1, ne1, d1, de1 = nm[K], ne[K], dm[K], de[K]     # the carries x[n+1] of N and D
+    for n in range(K - 1, -1, -1):
+        bsign, b, be, _ = rows[K - n][n]
+        m0 = nm[n]
+        if m0:
+            p = b * (-m0 if bsign else m0)
+            pe = be + ne[n]
+            sh = p.bit_length() - prec
+            if sh > 0:
+                # round to nearest-even: r ends in the round bit, and p
+                # differs from r << (sh - 1) by the sticky bits below it
+                r = p >> (sh - 1)
+                p = (r >> 1) + 1 if r & 1 and (r & 2 or p != r << (sh - 1)) else r >> 1
+                pe += sh
+            off = ne1 - pe
+            if not n1:
+                n1, ne1 = -p, pe
+            elif -100 <= off <= 100:
+                if off >= 0:
+                    n1, ne1 = (n1 << off) - p, pe
+                else:
+                    n1 -= p << -off
+                sh = n1.bit_length() - prec
+                if sh > 0:
+                    r = n1 >> (sh - 1)
+                    n1 = (r >> 1) + 1 if r & 1 and (r & 2 or n1 != r << (sh - 1)) else r >> 1
+                    ne1 += sh
+            else:
+                sign, man, ne1, _ = mpf_sub(from_man_exp(n1, ne1), from_man_exp(p, pe),
+                                            prec, _RND)
+                n1 = -man if sign else man
+        nm[n], ne[n] = n1, ne1
+        m0 = dm[n]                  # the same step on D
+        if m0:
+            p = b * (-m0 if bsign else m0)
+            pe = be + de[n]
+            sh = p.bit_length() - prec
+            if sh > 0:
+                r = p >> (sh - 1)
+                p = (r >> 1) + 1 if r & 1 and (r & 2 or p != r << (sh - 1)) else r >> 1
+                pe += sh
+            off = de1 - pe
+            if not d1:
+                d1, de1 = -p, pe
+            elif -100 <= off <= 100:
+                if off >= 0:
+                    d1, de1 = (d1 << off) - p, pe
+                else:
+                    d1 -= p << -off
+                sh = d1.bit_length() - prec
+                if sh > 0:
+                    r = d1 >> (sh - 1)
+                    d1 = (r >> 1) + 1 if r & 1 and (r & 2 or d1 != r << (sh - 1)) else r >> 1
+                    de1 += sh
+            else:
+                sign, man, de1, _ = mpf_sub(from_man_exp(d1, de1), from_man_exp(p, pe),
+                                            prec, _RND)
+                d1 = -man if sign else man
+        dm[n], de[n] = d1, de1
 
 
-def _levin_scan(terms, tol, beta: int = 1):
+def _levin_scan(terms, M: int, tol, beta: int = 1):
     """Levin u-type extrapolation over the partial sums of ``terms`` (raw mpf tuples).
 
     The estimate at order k is trusted by the spread of the last two orders,
@@ -683,33 +719,39 @@ def _levin_scan(terms, tol, beta: int = 1):
     the bound on its own.  Scanning stops early only after three consecutive
     orders already agree within tol/4, which forces bound <= tol at the break.
 
-    tol is an mpf.  The N and D tableaux are held as signed integer
-    mantissas and exponents and updated by :func:`_levin_order`; only N[0]
-    and D[0] are packed into raw mpf tuples, once per order, for the
-    estimate.  Estimates, gaps and their sums are rounded to nearest at the
-    ambient precision in the order of the mpf expressions ``N[0] / D[0]``,
-    ``abs(e_k - e_{k-1})``, ``g_k + g_{k-1}`` and ``2 * pair``.
+    terms is an iterator of at most M terms, M the tableau size, and tol an
+    mpf.  The tableau is built by counter-diagonals (E. J. Weniger, Comput.
+    Phys. Rep. 10 (1989) 189): term K is drawn only when the scan reaches
+    order K, N_0[K] and D_0[K] are formed, and :func:`_levin_climb` climbs
+    to N_K[0] and D_K[0], which are packed into raw mpf tuples for the
+    estimate.  So a scan that breaks at order K has drawn K + 1 terms, and
+    each entry it builds is the one the order-by-order tableau builds: the
+    same rounded step on the same operands and coefficient (row k is
+    fetched at length M - k when order k is first reached).  Estimates,
+    gaps and their sums are rounded to nearest at the ambient precision in
+    the order of the mpf expressions ``N[0] / D[0]``, ``abs(e_k - e_{k-1})``,
+    ``g_k + g_{k-1}`` and ``2 * pair``.
     """
     prec = mpmath.mp.prec
-    M = len(terms)
     Nm, Ne, Dm, De = [], [], [], []
+    rows = [None]
     acc = fzero
-    for n, t in enumerate(terms):
-        acc = mpf_add(acc, t, prec, _RND)
-        weight = mpf_mul_int(t, beta + n, prec, _RND)
-        for x, xm, xe in ((mpf_div(acc, weight, prec, _RND), Nm, Ne),
-                          (mpf_div(fone, weight, prec, _RND), Dm, De)):
-            xm.append(-x[1] if x[0] else x[1])
-            xe.append(x[2])
     prev_est = None
     gaps = [finf]
     ests = [None]
     small_streak = 0
     quarter_tol = (tol / 4)._mpf_
-    for k in range(1, M):
-        coeffs = _LEVIN_COEFFS.row(k, beta, prec, M - k)
-        _levin_order(Nm, Ne, coeffs, M - k, prec)
-        _levin_order(Dm, De, coeffs, M - k, prec)
+    for k, t in enumerate(terms):
+        acc = mpf_add(acc, t, prec, _RND)
+        weight = mpf_mul_int(t, beta + k, prec, _RND)
+        for x, xm, xe in ((mpf_div(acc, weight, prec, _RND), Nm, Ne),
+                          (mpf_div(fone, weight, prec, _RND), Dm, De)):
+            xm.append(-x[1] if x[0] else x[1])
+            xe.append(x[2])
+        if not k:
+            continue
+        rows.append(_LEVIN_COEFFS.row(k, beta, prec, M - k))
+        _levin_climb(Nm, Ne, Dm, De, rows, prec)
         est = None
         if Dm[0]:
             est = mpf_div(from_man_exp(Nm[0], Ne[0]), from_man_exp(Dm[0], De[0]), prec, _RND)
@@ -748,7 +790,7 @@ def _accelerated_unit(f: PFQ, ctx: PrecisionCtx, tol, max_partial: int) -> EvalR
         prec = int(internal * 3.3322) + 20
         with mpmath.workprec(prec):
             terms = _terms(_raw(f.numerators), _raw(f.denominators), None, prec)
-            value, bound, _ = _levin_scan(list(islice(terms, M)), tol)
+            value, bound, _ = _levin_scan(islice(terms, M), M, tol)
         if value is not None and bound <= tol:
             break
         if M >= max_partial:

@@ -203,14 +203,14 @@ def test_levin_exact_audit_passes_and_fails_on_an_ulp(capsys, monkeypatch):
     spec.loader.exec_module(audit)
     assert audit.main(["--count", "12", "--seed", "5"]) == 0
     assert "differences 0" in capsys.readouterr().out
-    # a tableau step one unit in the last place off in entry 0
-    real = audit.series._levin_order
+    # a tableau climb one unit in the last place off at the top of N
+    real = audit.series._levin_climb
 
-    def off_by_one_ulp(xm, xe, coeffs, length, prec):
-        real(xm, xe, coeffs, length, prec)
-        xm[0] += 1
+    def off_by_one_ulp(nm, ne, dm, de, rows, prec):
+        real(nm, ne, dm, de, rows, prec)
+        nm[0] += 1
 
-    monkeypatch.setattr(audit.series, "_levin_order", off_by_one_ulp)
+    monkeypatch.setattr(audit.series, "_levin_climb", off_by_one_ulp)
     assert audit.main(["--count", "12", "--seed", "5"]) == 1
     assert "difference at point" in capsys.readouterr().out
 

@@ -9,7 +9,7 @@ from watsonlab.closedform import (FORM_IDS, DivergenceRegion, ParameterPole,
                                   lavoie_plus, record_adjudication,
                                   registry_verdict, reset_registry, watson_00)
 from watsonlab.lattice import WatsonPoint, to_pfq
-from watsonlab.mpnum import PrecisionCtx
+from watsonlab.mpnum import NumeratorPole, PrecisionCtx
 from watsonlab.series import PFQ, eval_exact, eval_unit
 
 CTX = PrecisionCtx(digits=30)
@@ -77,6 +77,13 @@ def test_watson_00_zero_consistency():
         assert v == 0
         series = eval_exact(to_pfq(WatsonPoint(Fraction(a), Fraction(b), Fraction(c), 0, 0)))
         assert series == 0
+
+
+def test_watson_00_near_pole_denominator_is_inapplicable():
+    # (a + 1)/2 = 0.015 lies within the guard of 0 but is not 0: Gamma there is
+    # finite, and the series is 0.0409... (hyp3f2), not the structural zero
+    with pytest.raises(NumeratorPole, match="not equal"):
+        watson_00(-0.97, 1, 2, CTX)
 
 
 def test_lavoie_plus_value_two_routes():

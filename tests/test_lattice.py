@@ -104,6 +104,24 @@ def test_eval_point_inexact_near_pole_numerator_is_refused():
         closedform.reset_registry()
 
 
+def test_eval_point_near_pole_denominator_falls_through_to_series():
+    # c - a/2 + 1/2 = -0.99 is a denominator gamma argument of the Watson form
+    # near -1 but not at it; the form is inapplicable there, so eval_point sums
+    # the series (hyp3f2 at 40 digits: 0.13071873637560774080668665148740867)
+    closedform.reset_registry()
+    try:
+        closedform.record_adjudication("watson_00", "identity", 150, mpf("1e-25"), ("t", 0, 30, 150))
+        res = eval_point(WatsonPoint(0.2, -2.5, -1.39, 0, 0), CTX)
+        assert res.method == "accelerated" and res.converged
+        with CTX.working(10):
+            ref = mpf("0.13071873637560774080668665148740867")
+            assert 0 < res.abs_err_bound <= mpf(10) ** -25
+            # the bound leaves out the final rounding to the context (Defect A)
+            assert abs(res.value - ref) <= res.abs_err_bound + abs(ref) * mpf(2) ** -CTX.prec
+    finally:
+        closedform.reset_registry()
+
+
 def test_eval_point_divergent():
     with pytest.raises(DivergentPoint):
         eval_point(WatsonPoint(2, 2, 1, 0, 0), CTX)

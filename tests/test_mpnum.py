@@ -153,6 +153,16 @@ def test_gamma_product_zero_and_pole():
         gamma_product([Fraction(0)], [Fraction(0)], CTX)
 
 
+def test_gamma_product_inexact_near_pole_denominator_is_refused():
+    # Gamma(1/2) / Gamma(-0.975) = -0.0438..., not 0; only an argument equal
+    # to the nonpositive integer is the structural zero
+    for near in (Fraction(-39, 40), -0.975, mpf("-0.975"), Fraction(1, 40)):
+        with pytest.raises(NumeratorPole, match="not equal"):
+            gamma_product([Fraction(1, 2)], [near], CTX)
+    for pole in (-1, -1.0, mpf(-1), Fraction(-2)):
+        assert gamma_product([Fraction(1, 2)], [pole], CTX) == 0
+
+
 def test_gamma_product_factor_move_invariance():
     # ([a,b],[c]) equals ([a],[c]) * Gamma(b), reconstructed from ln_gamma
     rng = random.Random(99)

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf
-from mpmath.libmp import fone, fzero, from_man_exp, mpf_mul, mpf_sub, round_nearest
+from mpmath.libmp import fone, fzero, from_man_exp, mpf_mul, mpf_neg, mpf_sub, round_nearest
 
 from watsonlab import series
 from watsonlab.mpnum import PrecisionCtx, to_mpf_ambient
@@ -475,6 +476,69 @@ def test_accelerated_bit_exact(digits, tol_exp, seed):
         assert {32, 64} <= used
 
 
+def _watson_pfq(a, b, s, i, j):
+    """f_{i,j}(a, b, c) with c chosen so the excess is s."""
+    c = s - j - Fraction(i + 1, 2) + Fraction(a + b, 2)
+    return F3((a, b, c), (Fraction(a + b + i + 1, 2), 2 * c + j))
+
+
+def test_levin_scan_draws_terms_only_to_its_break(monkeypatch):
+    """A scan that breaks at order K has pulled exactly K + 1 terms."""
+    f = _watson_pfq(Fraction(13, 10), Fraction(7, 10), Fraction(1, 2), 0, 0)
+    tol = CTX.mpf(mpf(10) ** -20)
+    M = 32
+    prec = int((30 + int(0.55 * M) + 15) * 3.3322) + 20    # as _accelerated_unit at digits 30
+    orders, pulled = [], []
+    real_row = series._LEVIN_COEFFS.row
+
+    def row(k, beta, prec, length):
+        orders.append(k)
+        return real_row(k, beta, prec, length)
+
+    def counted(terms):
+        for t in terms:
+            pulled.append(t)
+            yield t
+
+    monkeypatch.setattr(series._LEVIN_COEFFS, "row", row)
+    with mpmath.workprec(prec):
+        terms = series._terms(series._raw(f.numerators), series._raw(f.denominators), None, prec)
+        new = series._levin_scan(counted(islice(terms, M)), M, tol)
+        K = len(orders)
+        assert orders == list(range(1, K + 1))
+        assert K < M - 1 and len(pulled) == K + 1
+        # the same estimate, bound and order as the full order-by-order tableau
+        rest = list(islice(terms, M - len(pulled)))
+        old = _frozen_levin_scan([mpmath.mp.make_mpf(t) for t in pulled + rest], tol)
+    assert new == old
+
+
+def test_accelerated_bit_exact_at_break_and_restart(monkeypatch):
+    """One point breaks early in its M = 32 scan; the other restarts at M = 64."""
+    scans = []
+    real_terms = series._terms
+
+    def counted(*args):
+        scans.append(0)
+        for t in real_terms(*args):
+            scans[-1] += 1
+            yield t
+
+    monkeypatch.setattr(series, "_terms", counted)
+    cases = [(_watson_pfq(Fraction(13, 10), Fraction(7, 10), Fraction(1, 2), 0, 0), -20, 32),
+             (_watson_pfq(1, 1, Fraction(1, 2), 0, 0), -26, 64)]
+    for f, tol_exp, used in cases:
+        tol = CTX.mpf(mpf(10) ** tol_exp)
+        scans.clear()
+        new = _accelerated_unit(f, CTX, tol, 2000)
+        _same(new, _frozen_accelerated_unit(f, CTX, tol, 2000))
+        assert new.converged and new.terms_used == used
+        if used == 32:
+            assert len(scans) == 1 and scans[0] < 32
+        else:
+            assert len(scans) == 2 and scans[0] == 32 and scans[1] < 64
+
+
 def test_direct_bit_exact_success_and_abandon():
     ctx = PrecisionCtx(digits=30)
     outcomes = []
@@ -579,11 +643,19 @@ def test_direct_rehearsal_skips_suite_points(monkeypatch):
 
 
 def _levin_step(b, x0, x1, prec):
-    """x1 - b x0 through the integer tableau step, as a normalized raw mpf."""
-    xm = [-x[1] if x[0] else x[1] for x in (x0, x1)]
-    xe = [x0[2], x1[2]]
-    series._levin_order(xm, xe, [b], 1, prec)
-    return from_man_exp(xm[0], xe[0])
+    """x1 - b x0 through the tableau climb on a two-term diagonal, as a normalized raw mpf.
+
+    N holds (x0, x1) and D their negatives, with b as the one coefficient of
+    order 1; rounding to nearest-even is symmetric, so D's top must be the
+    negated step.
+    """
+    nm = [-x[1] if x[0] else x[1] for x in (x0, x1)]
+    ne = [x0[2], x1[2]]
+    dm, de = [-m for m in nm], list(ne)
+    series._levin_climb(nm, ne, dm, de, [None, [b]], prec)
+    step = from_man_exp(nm[0], ne[0])
+    assert from_man_exp(dm[0], de[0]) == mpf_neg(step)
+    return step
 
 
 def _raw_odd(rng, bits, exp, sign=0):
