@@ -13,6 +13,10 @@ SHA-256, and per metric each side's median and quartiles (perfbench's
 quartiles), the change in the median, the number of pairs the change won,
 and whether that shows a gain: the change wins at least nine tenths of the
 pairs and the medians differ by more than the parent's quartile spread.
+Beside the gain rule it gives each pair's ratio change/parent, with the
+median and quartiles of those ratios: a host that drifts during a record
+widens the parent's spread, but each pair runs both sides back to back, so
+the ratios keep the change apart from the drift.
 It also holds each checkout's commit and the line count of its
 src/watsonlab, as that checkout's perfbench/collect.py counts it.
 
@@ -76,9 +80,16 @@ def summarize(pairs, spec) -> dict:
                    for p in pairs)
         parent, change = sides["parent"]["median"], sides["change"]["median"]
         spread = sides["parent"]["q3"] - sides["parent"]["q1"]
+        ratios = [p["change"]["metrics"][name] / p["parent"]["metrics"][name]
+                  for p in pairs if p["parent"]["metrics"][name]]
+        ratio = None
+        if ratios:
+            q1, med, q3 = quartiles(ratios)
+            ratio = {"median": med, "q1": q1, "q3": q3}
         out[name] = {
             "better": better, **sides,
             "change_pct": 100 * (change - parent) / parent if parent else None,
+            "ratio": ratio,
             "change_wins": wins, "pairs": len(pairs),
             "gain_shown": wins >= 0.9 * len(pairs) and sign * (parent - change) > spread,
         }
@@ -128,8 +139,10 @@ def main(argv=None):
     for workload, w in record["workloads"].items():
         for name, m in (w["metrics"] or {}).items():
             pct = "n/a" if m["change_pct"] is None else f"{m['change_pct']:+.1f}%"
+            r = m["ratio"]
+            ratio = "n/a" if r is None else f"{r['median']:.3f} [{r['q1']:.3f}, {r['q3']:.3f}]"
             print(f"{workload:13s} {name:16s} {m['parent']['median']:12.6g} -> "
-                  f"{m['change']['median']:12.6g}  {pct:>8s}  "
+                  f"{m['change']['median']:12.6g}  {pct:>8s}  ratio {ratio}  "
                   f"wins {m['change_wins']}/{m['pairs']}  gain {m['gain_shown']}")
         if not w["all_correct"]:
             print(f"{workload}: some run was not correct; see {out}")

@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
-"""Audit the integer Levin tableau against the libmp tuple tableau it replaced.
+"""Audit the integer Levin route against the libmp tuple route it replaced.
 
 Draws seeded 3F2(a1, a2, a3; b1, b2; 1) points with excess s in (0.05, 4], a
 tolerance 10^-e with e uniform in [6, digits - 2] and a tableau size M that
 cycles through 32, 64 and 128.  Half are the suite's f_{i,j} points,
 3F2(a, b, c; (a+b+i+1)/2, 2c+j; 1) with a, b in (0.1, 3); half are wide, with
 a1, a2, a3 in (-40, 40) and b1 in (-60, 40), whose terms change sign and
-span many binades, so tableau entries cancel and their exponents drift apart.
+span many binades, so partial sums and tableau entries cancel and their
+exponents drift apart.
 
 For each point it draws terms at the working precision the accelerated route
 would use for that M and feeds them as that route does: series._levin_scan
-gets a lazy iterator of at most M terms and builds the tableau by
-counter-diagonals, stopping where it breaks; the frozen copy below gets the
-list of all M terms and builds it order by order.  It compares (estimate,
-bound, order) with ==, prints the counts and exits 1 on any difference.
+gets a lazy iterator of at most M integer terms from series._terms and
+builds the tableau by counter-diagonals, stopping where it breaks; the
+frozen copies below draw all M terms as raw libmp tuples and build the
+tableau order by order.  So the audit covers the term generator, the
+initialisation of N and D, the tableau and the estimates.  It compares
+(estimate, bound, order) with ==, prints the counts and exits 1 on any
+difference.
 
     python scripts/levin_exact_audit.py --count 2000 --seed 1 --digits 30
 """
@@ -28,14 +32,31 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import mpmath                                                    # noqa: E402
 from mpmath import mpf                                           # noqa: E402
-from mpmath.libmp import (fone, fzero, mpf_add, mpf_div,         # noqa: E402
-                          mpf_mul, mpf_mul_int, mpf_sub, round_nearest)
+from mpmath.libmp import (fone, fzero, from_int, mpf_add,       # noqa: E402
+                          mpf_div, mpf_mul, mpf_mul_int, mpf_sub, round_nearest)
 
 from watsonlab import series                                     # noqa: E402
 from watsonlab.mpnum import PrecisionCtx                         # noqa: E402
 
 SIZES = (32, 64, 128)
 _RND = round_nearest
+
+
+def frozen_terms(nums, dens, prec):
+    """series._terms at unit argument as it was before integer terms (raw libmp tuples)."""
+    t = fone
+    n = 0
+    while True:
+        yield t
+        fn = from_int(n)
+        num = fone
+        for a in nums:
+            num = mpf_mul(num, mpf_add(a, fn, prec, _RND), prec, _RND)
+        den = from_int(n + 1, prec, _RND)
+        for b in dens:
+            den = mpf_mul(den, mpf_add(b, fn, prec, _RND), prec, _RND)
+        t = mpf_div(mpf_mul(t, num, prec, _RND), den, prec, _RND)
+        n += 1
 
 
 def frozen_levin_scan(terms, tol, beta=1):
@@ -116,10 +137,9 @@ def scan_both(f, ctx, tol, M):
     target_digits = max(ctx.digits, int(-mpmath.log10(tol)) + 2)
     prec = int((target_digits + int(0.55 * M) + 15) * 3.3322) + 20
     with mpmath.workprec(prec):
-        def terms():
-            return islice(series._terms(series._raw(f.numerators),
-                                        series._raw(f.denominators), None, prec), M)
-        return series._levin_scan(terms(), M, tol), frozen_levin_scan(list(terms()), tol)
+        nums, dens = series._raw(f.numerators), series._raw(f.denominators)
+        new = series._levin_scan(islice(series._terms(nums, dens, None, prec), M), M, tol)
+        return new, frozen_levin_scan(list(islice(frozen_terms(nums, dens, prec), M)), tol)
 
 
 def main(argv=None):

@@ -5,12 +5,13 @@ Terms are always generated through the ratio recurrence
     t_{n+1} / t_n = prod_i (a_i + n) * z / ( prod_j (b_j + n) * (n + 1) ),
 
 never through quotients of factorials, so the work per term is O(1) and a zero
-numerator factor truncates the series exactly.  Exact (Fraction) sums go
-through one rational loop; every floating-point route draws its terms from one
-generator, :func:`_terms`, which works on raw libmp tuples.  Each of its
-operations rounds to nearest at the ambient precision in the same order as the
-mpf expression ``t * num / den * z``, so it yields the same bits as the
-operator form at a fraction of the interpreter overhead.
+numerator factor truncates the series exactly.  Exact sums fold the ratios
+backward in integers and build one Fraction (:func:`_exact_sum`); every
+floating-point route draws its terms from one generator, :func:`_terms`, which
+yields signed integer mantissas and exponents.  Each of its operations rounds
+once to nearest-even at the working precision in the same order as the mpf
+expression ``t * num / den * z``, so it yields the values of the operator form
+at a fraction of the interpreter overhead.
 
 At unit argument the tail decays algebraically like n**-(1+s) where s is the
 parametric excess (sum of denominator parameters minus sum of numerator
@@ -28,14 +29,19 @@ list per (k, beta, precision), filled lazily on first use and holding exactly
 the values :func:`_levin_coeff` rounds.  The memo holds at most
 ``_LEVIN_MEMO_CAP`` coefficients in all; the oldest precision is evicted to make
 room, and a row that cannot fit even then is computed without being stored.
-The tableau is held as signed integer mantissas and exponents, two plain int
-lists per array, and built by counter-diagonals (Weniger 1989; see
+The whole accelerated route runs on signed integer mantissas and exponents;
+only the returned estimate and bound are packed into mpf.  The tableau is two
+plain int lists per array, built by counter-diagonals (Weniger 1989; see
 :func:`_levin_scan`), so a scan that breaks at order K draws K + 1 terms.
 Each entry update x[n] = x[n+1] - b x[n] runs inline (:func:`_levin_climb`):
 the product is rounded once to nearest-even at the working precision,
-aligned and subtracted exactly, and rounded once more.  ``mpf_mul`` and
-``mpf_sub`` are each correctly rounded to nearest-even, so every entry has
-exactly the value the libmp tuple form gives, in any order of evaluation.
+aligned and subtracted exactly, and rounded once more.  The partial sums,
+the weights, N_0 and D_0, the estimates and their gaps go through the same
+integer kernels: :func:`_round`, :func:`_add`, :func:`_div` and :func:`_le`.
+``mpf_add``, ``mpf_mul``, ``mpf_sub`` and ``mpf_div`` are each correctly
+rounded to nearest-even for the operands they meet here, so every value
+equals the one the libmp tuple form gives, in any order of evaluation and
+whatever trailing zeros a mantissa carries.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ from typing import Any, Optional, Tuple
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import (finf, fone, fzero, from_int, from_man_exp, mpf_abs, mpf_add,
+from mpmath.libmp import (finf, fone, from_int, from_man_exp, mpf_abs, mpf_add,
                           mpf_div, mpf_gt, mpf_le, mpf_lt, mpf_mul, mpf_mul_int, mpf_sub,
                           round_nearest)
 
@@ -237,44 +243,170 @@ def eval_exact(f: PFQ) -> Fraction:
 
 
 def _exact_sum(f: PFQ, m: int) -> Fraction:
-    """Sum of the terms n = 0..m of a series with rational data, in Fractions."""
+    """Sum of the terms n = 0..m of a series with rational data, exactly.
+
+    With every parameter x = p/q, the ratio t_{n+1}/t_n is A_n / B_n for the
+    integers A_n = z_p prod(p_a + n q_a) prod(q_b) and B_n = z_q (n + 1)
+    prod(p_b + n q_b) prod(q_a).  The sum 1 + r_0 (1 + r_1 (1 + ...)) is
+    folded backward as h = P/Q <- 1 + (A_n / B_n) h in integers, and one
+    Fraction is built at the end.
+    """
     z = as_rational(f.argument)
     nums = [as_rational(a) for a in f.numerators]
     dens = [as_rational(b) for b in f.denominators]
-    t = Fraction(1)
-    total = Fraction(1)
-    for n in range(m):
+    ca = z.numerator * math.prod(b.denominator for b in dens)
+    cb = z.denominator * math.prod(a.denominator for a in nums)
+    P = Q = 1
+    for n in range(m - 1, -1, -1):
+        A = ca
         for a in nums:
-            t *= a + n
+            A *= a.numerator + n * a.denominator
+        B = cb * (n + 1)
         for b in dens:
-            t /= b + n
-        t = t * z / (n + 1)
-        total += t
-    return total
+            B *= b.numerator + n * b.denominator
+        Q *= B
+        P = Q + A * P
+    return Fraction(P, Q)
+
+
+def _round(m: int, e: int, prec: int) -> tuple:
+    """m * 2**e rounded once to nearest-even at prec bits, as (mantissa, exponent).
+
+    Python's ``>>`` floors, so for a negative m too r ends in the round bit
+    of the value itself and the bits shifted out are its sticky bits; the
+    rule rounds half to even, as libmp does with the magnitude.  The
+    mantissa keeps at most prec bits, prec + 1 after a carry to a power of two.
+    """
+    sh = m.bit_length() - prec
+    if sh > 0:
+        r = m >> (sh - 1)
+        m = (r >> 1) + 1 if r & 1 and (r & 2 or m != r << (sh - 1)) else r >> 1
+        e += sh
+    return m, e
+
+
+def _add(xm: int, xe: int, ym: int, ye: int, prec: int) -> tuple:
+    """x + y rounded once to nearest-even at prec; ``mpf_add`` beyond an offset of 100.
+
+    The operands are aligned exactly, so no shift grows beyond prec + 100
+    bits; farther apart, libmp adds the packed tuples, which is correctly
+    rounded for operands of at most prec significant bits.
+    """
+    if not xm:
+        return _round(ym, ye, prec)
+    if not ym:
+        return _round(xm, xe, prec)
+    off = xe - ye
+    if -100 <= off <= 100:
+        if off >= 0:
+            return _round((xm << off) + ym, ye, prec)
+        return _round(xm + (ym << -off), xe, prec)
+    sign, man, e, _ = mpf_add(from_man_exp(xm, xe), from_man_exp(ym, ye), prec, _RND)
+    return (-man if sign else man), e
+
+
+def _div(xm: int, xe: int, ym: int, ye: int, prec: int) -> tuple:
+    """x / y rounded once to nearest-even at prec; ZeroDivisionError for y = 0.
+
+    The quotient is taken with at least prec + 3 bits and a sticky bit set
+    when the remainder is not zero, so it rounds as the exact quotient does
+    (``mpf_div`` perturbs its quotient the same way).  With y made positive
+    Python's divmod floors, and the sticky bit of a negative quotient is
+    the same round-bit argument as in :func:`_round`.
+    """
+    if ym < 0:
+        xm, ym = -xm, -ym
+    elif not ym:
+        raise ZeroDivisionError
+    if not xm:
+        return 0, 0
+    extra = prec + 3 - xm.bit_length() + ym.bit_length()
+    q, r = divmod(xm << extra, ym)
+    if r:
+        q = (q << 1) | 1
+        extra += 1
+    return _round(q, xe - ye - extra, prec)
+
+
+def _le(xm: int, xe: int, ym: int, ye: int) -> bool:
+    """x <= y for x = xm 2**xe >= 0, exactly."""
+    if ym <= 0:
+        return ym == 0 == xm
+    if not xm:
+        return True
+    tx, ty = xm.bit_length() + xe, ym.bit_length() + ye
+    if tx != ty:
+        return tx < ty
+    # the same leading bit: the exponents differ by less than the mantissas' length
+    return xm << (xe - ye) <= ym if xe >= ye else xm <= ym << (ye - xe)
+
+
+def _signed(x: tuple) -> tuple:
+    """A finite raw mpf as (signed mantissa, exponent)."""
+    sign, man, exp, _ = x
+    return (-man if sign else man), exp
+
+
+def _factor(x: tuple, prec: int) -> tuple:
+    """(X, E, k, raw) with x + n = (X + (n << k)) 2**E exactly, for a raw mpf x.
+
+    raw is x when its exponent lies outside [-prec - 100, 100], so that no
+    shift grows with the exponent: :func:`_product` then adds n by
+    ``mpf_add``.  For an integer n < 2**100 that sum is correctly rounded
+    too, since it perturbs only when one operand lies wholly below the
+    other's last bit.  Otherwise raw is None.
+    """
+    sign, man, exp, _ = x
+    if not -prec - 100 <= exp <= 100:
+        return 0, 0, 0, x
+    if exp >= 0:
+        return (-man if sign else man) << exp, 0, 0, None
+    return (-man if sign else man), exp, -exp, None
+
+
+def _product(m: int, e: int, factors: list, n: int, prec: int) -> tuple:
+    """m 2**e times each factor x + n in turn, every sum and product rounded at prec."""
+    for X, E, k, raw in factors:
+        if raw is None:
+            v = X + (n << k)
+            if v.bit_length() > prec:
+                v, E = _round(v, E, prec)
+        else:
+            v, E = _signed(mpf_add(raw, from_int(n), prec, _RND))
+        m *= v
+        e += E
+        if m.bit_length() > prec:
+            m, e = _round(m, e, prec)
+    return m, e
 
 
 def _terms(nums, dens, z, prec: int):
-    """Raw mpf terms t_0 = 1, t_1, ... with t_{n+1} = t_n * num_n / den_n [* z].
+    """Terms t_0 = 1, t_1, ... as (mantissa, exponent) pairs: t_{n+1} = t_n num_n / den_n [* z].
 
     num_n = prod(a + n) and den_n = (n + 1) prod(b + n).  nums, dens and z are
-    raw mpf tuples, z None at unit argument.  Every step rounds to nearest at
-    prec in the order of the mpf expression ``t * num / den * z``, so the terms
-    are bit for bit those of the operator form.
+    raw mpf tuples, z None at unit argument.  Each step runs on signed
+    integer mantissas in the order of the mpf expression ``t * num / den * z``:
+    every a + n is formed by exact alignment (:func:`_factor`) and rounded,
+    every product is formed exactly and rounded, and the division is
+    correctly rounded (:func:`_div`), each once to nearest-even at prec.
+    ``mpf_add``, ``mpf_mul`` and ``mpf_div`` each return the exact result
+    rounded once to nearest-even at prec, so every term has the value the
+    libmp tuple form gives; a mantissa may carry trailing zeros, so pack a
+    term with ``from_man_exp``.
     """
-    t = fone
+    fnum = [_factor(a, prec) for a in nums]
+    fden = [_factor(b, prec) for b in dens]
+    zm, ze = (1, 0) if z is None else _signed(z)
+    tm, te = 1, 0
     n = 0
     while True:
-        yield t
-        fn = from_int(n)
-        num = fone
-        for a in nums:
-            num = mpf_mul(num, mpf_add(a, fn, prec, _RND), prec, _RND)
-        den = from_int(n + 1, prec, _RND)
-        for b in dens:
-            den = mpf_mul(den, mpf_add(b, fn, prec, _RND), prec, _RND)
-        t = mpf_div(mpf_mul(t, num, prec, _RND), den, prec, _RND)
+        yield tm, te
+        num = _product(1, 0, fnum, n, prec)
+        den = _product(n + 1, 0, fden, n, prec)
+        tm, te = _round(tm * num[0], te + num[1], prec)
+        tm, te = _div(tm, te, *den, prec)
         if z is not None:
-            t = mpf_mul(t, z, prec, _RND)
+            tm, te = _round(tm * zm, te + ze, prec)
         n += 1
 
 
@@ -303,8 +435,8 @@ def _finite_sum_result(f: PFQ, ctx: PrecisionCtx, m: int) -> EvalResult:
                        to_mpf_ambient(f.argument)._mpf_, prec)
         total = next(terms)
         for t in islice(terms, m):
-            total = mpf_add(total, t, prec, _RND)
-        total = _make_mpf(total)
+            total = _add(*total, *t, prec)
+        total = _make_mpf(from_man_exp(*total))
         bound = abs(total) * mpf(10) ** (-(ctx.digits + 2))
     return EvalResult(_round_to_ctx(ctx, total), _round_to_ctx(ctx, bound),
                       m + 1, "direct", True)
@@ -376,11 +508,12 @@ def eval_general(f: PFQ, ctx: PrecisionCtx, tol=None, max_terms: Optional[int] =
         rel_floor = (mpf(10) ** (-(ctx.digits + 4)))._mpf_
         tol_r = tol._mpf_
         terms = _terms(nums, dens, z, prec)
-        total = next(terms)
+        total = fone
         bound = finf
         used = 1
+        next(terms)
         for n in range(max_terms):
-            t = next(terms)
+            t = from_man_exp(*next(terms))
             total = mpf_add(total, t, prec, _RND)
             used = n + 2
             # geometric tail: future ratios head toward |z| < 1; the factors
@@ -517,13 +650,13 @@ def _direct_sum(f: PFQ, ctx: PrecisionCtx, tol, max_terms: int, s) -> Optional[E
         s_r, tol_r = s._mpf_, tol._mpf_
         rel_floor = (mpf(10) ** (-(ctx.digits + 4)))._mpf_
         terms = _terms(_raw(f.numerators), _raw(f.denominators), None, prec)
-        total = next(terms)
-        abs_t = total
+        next(terms)
+        total = abs_t = fone
         decreasing = 0
         bound = finf
         used = 1
         for n in range(max_terms):
-            t = next(terms)
+            t = from_man_exp(*next(terms))
             abs_next = mpf_abs(t, prec, _RND)
             decreasing = decreasing + 1 if mpf_lt(abs_next, abs_t) else 0
             abs_t = abs_next
@@ -631,9 +764,10 @@ def _levin_climb(nm: list, ne: list, dm: list, de: list, rows: list, prec: int):
     most prec bits (prec + 1 after a carry to a power of two) and an
     exponent.  Each step runs inline: the product b x[n] is rounded once to
     nearest-even at prec, shift-aligned against x[n+1], subtracted
-    exactly and rounded once more.  When the exponents are more than 100
-    apart the subtraction goes to ``mpf_sub`` on packed tuples, so no shift
-    grows beyond prec + 100 bits.
+    exactly and rounded once more, each rounding as :func:`_round`, written
+    out here.  When the exponents are more than 100 apart the subtraction
+    goes to ``mpf_sub`` on packed tuples, so no shift grows beyond prec + 100
+    bits.
 
     Why each entry equals ``mpf_sub(x[n+1], mpf_mul(b, x[n], prec), prec)``
     bit for bit: ``mpf_mul`` and ``mpf_sub`` each return the exact result
@@ -643,10 +777,7 @@ def _levin_climb(nm: list, ne: list, dm: list, de: list, rows: list, prec: int):
     here does.)  The step forms the same exact product and difference and
     rounds each once by the same rule, so each entry has the same value,
     whatever trailing zeros its mantissa carries, and only values feed the
-    next step.  Python's ``>>`` floors, so for a negative mantissa too r
-    ends in the round bit of the value itself and the bits shifted out are
-    its sticky bits, and the rule rounds it half to even, as libmp does with
-    the magnitude.
+    next step.
     """
     K = len(nm) - 1
     n1, ne1, d1, de1 = nm[K], ne[K], dm[K], de[K]     # the carries x[n+1] of N and D
@@ -719,65 +850,74 @@ def _levin_scan(terms, M: int, tol, beta: int = 1):
     the bound on its own.  Scanning stops early only after three consecutive
     orders already agree within tol/4, which forces bound <= tol at the break.
 
-    terms is an iterator of at most M terms, M the tableau size, and tol an
-    mpf.  The tableau is built by counter-diagonals (E. J. Weniger, Comput.
-    Phys. Rep. 10 (1989) 189): term K is drawn only when the scan reaches
-    order K, N_0[K] and D_0[K] are formed, and :func:`_levin_climb` climbs
-    to N_K[0] and D_K[0], which are packed into raw mpf tuples for the
-    estimate.  So a scan that breaks at order K has drawn K + 1 terms, and
-    each entry it builds is the one the order-by-order tableau builds: the
-    same rounded step on the same operands and coefficient (row k is
-    fetched at length M - k when order k is first reached).  Estimates,
-    gaps and their sums are rounded to nearest at the ambient precision in
-    the order of the mpf expressions ``N[0] / D[0]``, ``abs(e_k - e_{k-1})``,
-    ``g_k + g_{k-1}`` and ``2 * pair``.
+    terms is an iterator of at most M terms as (mantissa, exponent) pairs
+    (:func:`_terms`), M the tableau size, and tol an mpf.  The tableau is
+    built by counter-diagonals (E. J. Weniger, Comput. Phys. Rep. 10 (1989)
+    189): term K is drawn only when the scan reaches order K, N_0[K] and
+    D_0[K] are formed, and :func:`_levin_climb` climbs to N_K[0] and D_K[0].
+    So a scan that breaks at order K has drawn K + 1 terms, and each entry
+    it builds is the one the order-by-order tableau builds: the same rounded
+    step on the same operands and coefficient (row k is fetched at length
+    M - k when order k is first reached).
+
+    Everything runs on signed integer mantissas and exponents, each value
+    rounded once to nearest-even at the ambient precision as the libmp
+    expression it replaces: the partial sum S_K = S_{K-1} + t_K
+    (:func:`_add`), the weight w = t_K (beta + K) (:func:`_round` of the
+    exact product), N_0[K] = S_K / w and D_0[K] = 1 / w (:func:`_div`), the
+    estimate N_K[0] / D_K[0], the gap |e_k - e_{k-1}|, its test against
+    tol/4 (:func:`_le`, exact), and the sums g_k + g_{k-1} that pick the
+    order.  ``mpf_add``, ``mpf_mul`` and ``mpf_div`` are each correctly
+    rounded to nearest-even, so every value equals libmp's; only the
+    returned estimate and bound 2 (g_k + g_{k-1}), an exact doubling, are
+    packed into mpf.
     """
     prec = mpmath.mp.prec
     Nm, Ne, Dm, De = [], [], [], []
     rows = [None]
-    acc = fzero
-    prev_est = None
-    gaps = [finf]
+    am, ae = 0, 0                   # the partial sum
+    pm = pe = None                  # the previous estimate
+    gaps = [None]                   # None: infinite
     ests = [None]
     small_streak = 0
-    quarter_tol = (tol / 4)._mpf_
-    for k, t in enumerate(terms):
-        acc = mpf_add(acc, t, prec, _RND)
-        weight = mpf_mul_int(t, beta + k, prec, _RND)
-        for x, xm, xe in ((mpf_div(acc, weight, prec, _RND), Nm, Ne),
-                          (mpf_div(fone, weight, prec, _RND), Dm, De)):
-            xm.append(-x[1] if x[0] else x[1])
-            xe.append(x[2])
+    qm, qe = _signed((tol / 4)._mpf_)
+    for k, (tm, te) in enumerate(terms):
+        am, ae = _add(am, ae, tm, te, prec)
+        wm, we = _round(tm * (beta + k), te, prec)
+        x = _div(am, ae, wm, we, prec)
+        Nm.append(x[0])
+        Ne.append(x[1])
+        x = _div(1, 0, wm, we, prec)
+        Dm.append(x[0])
+        De.append(x[1])
         if not k:
             continue
         rows.append(_LEVIN_COEFFS.row(k, beta, prec, M - k))
         _levin_climb(Nm, Ne, Dm, De, rows, prec)
-        est = None
-        if Dm[0]:
-            est = mpf_div(from_man_exp(Nm[0], Ne[0]), from_man_exp(Dm[0], De[0]), prec, _RND)
+        est = _div(Nm[0], Ne[0], Dm[0], De[0], prec) if Dm[0] else None
         ests.append(est)
-        if est is None or prev_est is None:
-            gaps.append(finf)
+        if est is None or pm is None:
+            gaps.append(None)
         else:
-            gap = mpf_abs(mpf_sub(est, prev_est, prec, _RND), prec, _RND)
+            gm, ge = _add(est[0], est[1], -pm, pe, prec)
+            gap = (abs(gm), ge)
             gaps.append(gap)
-            small_streak = small_streak + 1 if mpf_le(gap, quarter_tol) else 0
+            small_streak = small_streak + 1 if _le(*gap, qm, qe) else 0
             if small_streak >= 3 and k >= 6:
                 break
         if est is not None:
-            prev_est = est
-    best_k = None
-    best_pair = finf
+            pm, pe = est
+    best_k = best = None
     for k in range(4, len(gaps)):
-        if ests[k] is None:
+        if gaps[k] is None or gaps[k - 1] is None:
             continue
-        pair = mpf_add(gaps[k], gaps[k - 1], prec, _RND)
-        if mpf_lt(pair, best_pair):
-            best_pair = pair
-            best_k = k
+        pair = _add(*gaps[k], *gaps[k - 1], prec)
+        if best is None or not _le(*best, *pair):
+            best, best_k = pair, k
     if best_k is None:
         return None, mpmath.inf, 0
-    return _make_mpf(ests[best_k]), _make_mpf(mpf_mul_int(best_pair, 2, prec, _RND)), best_k
+    return (_make_mpf(from_man_exp(*ests[best_k])),
+            _make_mpf(from_man_exp(best[0], best[1] + 1)), best_k)
 
 
 def _accelerated_unit(f: PFQ, ctx: PrecisionCtx, tol, max_partial: int) -> EvalResult:

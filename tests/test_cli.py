@@ -213,6 +213,21 @@ def test_levin_exact_audit_passes_and_fails_on_an_ulp(capsys, monkeypatch):
     monkeypatch.setattr(audit.series, "_levin_climb", off_by_one_ulp)
     assert audit.main(["--count", "12", "--seed", "5"]) == 1
     assert "difference at point" in capsys.readouterr().out
+    monkeypatch.setattr(audit.series, "_levin_climb", real)
+    # a division that truncates its quotient and drops the sticky bit
+    real_div = audit.series._div
+
+    def no_sticky_bit(xm, xe, ym, ye, prec):
+        if not xm or not ym:
+            return real_div(xm, xe, ym, ye, prec)
+        if ym < 0:
+            xm, ym = -xm, -ym
+        extra = prec + 3 - xm.bit_length() + ym.bit_length()
+        return audit.series._round((xm << extra) // ym, xe - ye - extra, prec)
+
+    monkeypatch.setattr(audit.series, "_div", no_sticky_bit)
+    assert audit.main(["--count", "12", "--seed", "5"]) == 1
+    assert "difference at point" in capsys.readouterr().out
 
 
 def test_bench_record_summary_applies_the_gain_rule():
@@ -239,3 +254,21 @@ def test_bench_record_summary_applies_the_gain_rule():
     assert mixed["wall_s"]["change_wins"] == 3 and not mixed["wall_s"]["gain_shown"]
     close = record.summarize(pairs([5.0, 6.0, 4.0, 5.5], [4.9, 5.9, 3.9, 5.4]), spec)
     assert close["wall_s"]["change_wins"] == 4 and not close["wall_s"]["gain_shown"]
+
+
+def test_bench_record_ratio_separates_a_gain_from_host_drift():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record)
+    # the parent drifts from 7.6 to 3.9 s while every pair's change is 15% faster
+    parent = [7.6 - 3.7 * k / 9 for k in range(10)]
+    pairs = [{"parent": {"metrics": {"wall_s": p}}, "change": {"metrics": {"wall_s": 0.85 * p}}}
+             for p in parent]
+    wall = record.summarize(pairs, {"wall_s": "lower"})["wall_s"]
+    assert wall["change_wins"] == 10 and not wall["gain_shown"]
+    assert wall["ratio"]["q3"] < 1
+    assert wall["ratio"]["median"] == pytest.approx(0.85)

@@ -6,9 +6,11 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf
-from mpmath.libmp import fone, fzero, from_man_exp, mpf_mul, mpf_neg, mpf_sub, round_nearest
+from mpmath.libmp import (fone, fzero, from_int, from_man_exp, mpf_abs, mpf_add, mpf_div,
+                          mpf_le, mpf_mul, mpf_neg, mpf_sub, round_nearest)
 
-from watsonlab import series
+from watsonlab import series, verify
+from watsonlab.lattice import WatsonPoint, to_pfq
 from watsonlab.mpnum import PrecisionCtx, to_mpf_ambient
 from watsonlab.series import (PFQ, ArgumentNotUnity, DivergentSeries, EvalResult,
                               NonRationalInput, NotTerminating, OutsideRadius,
@@ -509,7 +511,8 @@ def test_levin_scan_draws_terms_only_to_its_break(monkeypatch):
         assert K < M - 1 and len(pulled) == K + 1
         # the same estimate, bound and order as the full order-by-order tableau
         rest = list(islice(terms, M - len(pulled)))
-        old = _frozen_levin_scan([mpmath.mp.make_mpf(t) for t in pulled + rest], tol)
+        old = _frozen_levin_scan([mpmath.mp.make_mpf(from_man_exp(*t)) for t in pulled + rest],
+                                 tol)
     assert new == old
 
 
@@ -713,6 +716,191 @@ def test_levin_step_rounds_as_libmp(prec):
     for label, b, x0, x1 in _step_cases(prec, rng):
         want = mpf_sub(x1, mpf_mul(b, x0, prec, round_nearest), prec, round_nearest)
         assert _levin_step(b, x0, x1, prec) == want, (label, b, x0, x1)
+
+
+def _signed(x):
+    return (-x[1] if x[0] else x[1]), x[2]
+
+
+def _div_cases(prec, rng):
+    """(label, x, y) raw operands for the integer division at prec."""
+    top = (1 << prec) - 1
+    cases = []
+    # exact quotients: (m q) / q, and a power-of-two divisor
+    q = _raw_odd(rng, prec // 2, -3)
+    cases.append(("exact", mpf_mul(_raw_odd(rng, prec - prec // 2, 5), q, prec, round_nearest), q))
+    cases.append(("exact_pow2", _raw_odd(rng, prec, -prec), (0, 1, 7, 1)))
+    # half-way ties: an odd prec + 1 bit dividend over a power of two; the
+    # mantissa 2^prec is what a carry to a power of two leaves
+    for label, ym in (("tie", 1), ("tie_carried_divisor", 1 << prec)):
+        for low in (1, 3):
+            xm = (1 << prec) | (rng.getrandbits(prec - 2) << 2) | low
+            cases.append((f"{label}_{low}", (0, xm, -prec, prec + 1), (0, ym, 2, ym.bit_length())))
+    # 1/w for w of prec bits, all ones, and carried to 2^prec
+    for w in (_raw_odd(rng, prec, -prec - 9), (0, top, 4, prec), (1, 1 << prec, -3, prec + 1)):
+        cases.append(("reciprocal", fone, w))
+    cases.append(("zero_dividend", fzero, _raw_odd(rng, prec, 0)))
+    for n in range(300):
+        x = _raw_odd(rng, rng.choice((1, 2, prec // 2, prec - 1, prec)), rng.randint(-400, 400),
+                     rng.getrandbits(1))
+        y = _raw_odd(rng, rng.choice((1, 2, prec // 2, prec - 1, prec)), rng.randint(-400, 400),
+                     rng.getrandbits(1))
+        cases.append(("random", x, y))
+    # signs: every case above with each sign of dividend and divisor
+    return [(f"{label}_{sx}{sy}", (sx,) + x[1:] if x[1] else x, (sy,) + y[1:])
+            for label, x, y in cases for sx in (0, 1) for sy in (0, 1)]
+
+
+@pytest.mark.parametrize("prec", [53, 113, 226, 286, 3400])
+def test_div_rounds_as_libmp(prec):
+    """The integer division equals mpf_div at prec, value for value."""
+    rng = random.Random(prec)
+    for label, x, y in _div_cases(prec, rng):
+        want = mpf_div(x, y, prec, round_nearest)
+        got = series._div(*_signed(x), *_signed(y), prec)
+        assert from_man_exp(*got) == want, (label, x, y)
+        assert got[0].bit_length() <= prec + 1
+    with pytest.raises(ZeroDivisionError):
+        series._div(1, 0, 0, 0, prec)
+    with pytest.raises(ZeroDivisionError):
+        series._div(0, 0, 0, 0, prec)
+
+
+@pytest.mark.parametrize("prec", [53, 113, 226, 286, 3400])
+def test_add_rounds_as_libmp(prec):
+    """The partial-sum add equals mpf_add at prec, on each side of the 100-bit offset."""
+    rng = random.Random(prec + 1)
+    cases = []
+    for off in (0, 1, 99, 100, 101, 140, -1, -99, -100, -101, -140, prec + 5, -prec - 5):
+        for sx, sy in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            x = _raw_odd(rng, prec, -prec, sx)
+            cases.append((f"offset_{off}", x, _raw_odd(rng, prec, -prec + off, sy)))
+            cases.append((f"short_offset_{off}", x, _raw_odd(rng, 3, -prec + off, sy)))
+    x = _raw_odd(rng, prec, -prec)
+    up = from_man_exp(x[1] + 2, x[2])
+    cases += [("equal", x, x), ("equal_shifted", x, (0, x[1] << 5, x[2] - 5, prec + 5)),
+              ("next_up", x, up), ("next_down", up, x), ("negative", x, mpf_neg(up)),
+              ("cancel", x, mpf_neg(x)), ("zero_x", fzero, x), ("zero_y", x, fzero),
+              ("zero_both", fzero, fzero), ("carry", (0, (1 << prec) - 1, 0, prec), (0, 1, -1, 1))]
+    for _ in range(300):
+        x, y = (_raw_odd(rng, rng.choice((1, prec // 2, prec)), rng.randint(-300, 300),
+                         rng.getrandbits(1)) for _ in range(2))
+        cases.append(("random", x, y))
+    for label, x, y in cases:
+        got = series._add(*_signed(x), *_signed(y), prec)
+        assert from_man_exp(*got) == mpf_add(x, y, prec, round_nearest), (label, x, y)
+        # the quarter-tol test compares a gap |x| with y
+        want = mpf_le(mpf_abs(x), from_man_exp(*_signed(y)))
+        assert series._le(abs(x[1]), x[2], *_signed(y)) == want, (label, x, y)
+
+
+def _frozen_terms(nums, dens, z, prec):
+    """series._terms as it was on raw libmp tuples."""
+    rnd = round_nearest
+    t = fone
+    n = 0
+    while True:
+        yield t
+        fn = from_int(n)
+        num = fone
+        for a in nums:
+            num = mpf_mul(num, mpf_add(a, fn, prec, rnd), prec, rnd)
+        den = from_int(n + 1, prec, rnd)
+        for b in dens:
+            den = mpf_mul(den, mpf_add(b, fn, prec, rnd), prec, rnd)
+        t = mpf_div(mpf_mul(t, num, prec, rnd), den, prec, rnd)
+        if z is not None:
+            t = mpf_mul(t, z, prec, rnd)
+        n += 1
+
+
+@pytest.mark.parametrize("prec", [53, 113, 226, 3400])
+def test_terms_equal_libmp_terms(prec):
+    """Each integer term equals the libmp tuple recurrence's, at z = 1 and z != 1."""
+    rng = random.Random(prec + 2)
+    with mpmath.workprec(prec):
+        params = [[mpf(rng.uniform(-40, 40)) for _ in range(5)] for _ in range(6)]
+        params += [
+            [mpf("1.3"), mpf("0.7"), mpf(2), mpf("2.9"), mpf("4.1")],
+            # a zero factor at n = 3, and a denominator crossing zero
+            [mpf(-3), mpf("0.25"), mpf("1.5"), mpf("-2.5"), mpf(7)],
+            # exponents beyond the exact alignment: tiny and huge parameters
+            [mpf(2) ** -(prec + 150), mpf(2) ** 140 + 1, mpf("0.5"), mpf(2) ** 300, mpf(3)],
+        ]
+    with mpmath.workprec(prec + 200):
+        # more bits than prec, some with an exponent above 100
+        params.append([mpf(3) ** 300, mpf(1) / 3, mpf("1.5"), mpf(2) / 7, mpf(3) ** 250 / 7])
+    zs = [None, from_man_exp(-3, -3), mpf_div(fone, from_int(7), prec, round_nearest)]
+    for ps in params:
+        nums, dens = [x._mpf_ for x in ps[:3]], [x._mpf_ for x in ps[3:]]
+        for z in zs:
+            new = islice(series._terms(nums, dens, z, prec), 60)
+            old = islice(_frozen_terms(nums, dens, z, prec), 60)
+            for n, (t, want) in enumerate(zip(new, old)):
+                assert from_man_exp(*t) == want, (n, ps, z)
+                assert t[0].bit_length() <= prec + 1
+
+
+@pytest.mark.parametrize("z", ["0.5", "-0.5", "0.25", "0.9"])
+def test_levin_scan_on_geometric_terms(z):
+    """1F0(1;;z): the u-transform is exact from order 2, so gaps vanish or
+    tie in the last bits, and the scan must keep the first of equal pairs."""
+    prec = 200
+    with mpmath.workprec(prec):
+        zr = mpf(z)._mpf_
+        for tol in (mpf(10) ** -10, mpf(10) ** -200):
+            new = series._levin_scan(islice(series._terms([fone], [], zr, prec), 32), 32, tol)
+            old = _frozen_levin_scan(
+                [mpmath.mp.make_mpf(t) for t in islice(_frozen_terms([fone], [], zr, prec), 32)],
+                tol)
+            assert new == old
+
+
+def _frozen_exact_sum(f, m):
+    """series._exact_sum as it was: the term loop in Fractions."""
+    z = Fraction(f.argument)
+    nums = [Fraction(a) for a in f.numerators]
+    dens = [Fraction(b) for b in f.denominators]
+    t = total = Fraction(1)
+    for n in range(m):
+        for a in nums:
+            t *= a + n
+        for b in dens:
+            t /= b + n
+        t = t * z / (n + 1)
+        total += t
+    return total
+
+
+def _exact_cases():
+    """Terminating rational series: the de Branges grid, the probe pools on the
+    lattice grid, negative parameters and arguments other than 1."""
+    for p in verify._debranges_points(verify.DEBRANGES_GRID):
+        n, alpha, x = p["n"], p["alpha"], p["x"]
+        yield F3((Fraction(-n), n + alpha, (alpha + 1) / 2), (alpha + 1, (alpha + 3) / 2), x)
+    pools = verify._RECURRENCE_PROBE_POOL + verify._THREE_TERM_PROBE_POOL
+    for a, b, c in pools:
+        for i, j in verify.GRID:
+            yield to_pfq(WatsonPoint(a, b, c, i, j))
+    for z in (1, Fraction(-7, 3), Fraction(5, 11), 0):
+        yield F3((-12, Fraction(-7, 2), Fraction(13, 6)), (Fraction(-25, 2), Fraction(-1, 9)), z)
+        yield F3((Fraction(-3, 4), -9, 5), (Fraction(-5, 3), 2), z)
+        yield F3((-4,), (), z)
+
+
+def test_exact_sum_equals_fraction_loop():
+    checked = 0
+    for f in _exact_cases():
+        m = termination_degree(f, pole_guard=0)
+        if m is None:
+            continue
+        try:
+            series._check_denominators(f, m, 0)
+        except SeriesError:
+            continue
+        assert series._exact_sum(f, m) == _frozen_exact_sum(f, m), f
+        checked += 1
+    assert checked > 1300
 
 
 @pytest.mark.parametrize("digits", [30, 100])
