@@ -301,15 +301,15 @@ def _add(xm: int, xe: int, ym: int, ye: int, prec: int) -> tuple:
         if off >= 0:
             return _round((xm << off) + ym, ye, prec)
         return _round(xm + (ym << -off), xe, prec)
-    sign, man, e, _ = mpf_add(from_man_exp(xm, xe), from_man_exp(ym, ye), prec, _RND)
-    return (-man if sign else man), e
+    return _signed(mpf_add(from_man_exp(xm, xe), from_man_exp(ym, ye), prec, _RND))
 
 
 def _div(xm: int, xe: int, ym: int, ye: int, prec: int) -> tuple:
     """x / y rounded once to nearest-even at prec; ZeroDivisionError for y = 0.
 
-    The quotient is taken with at least prec + 3 bits and a sticky bit set
-    when the remainder is not zero, so it rounds as the exact quotient does
+    For a dividend of at most prec + 4 bits, as every value here is.  The
+    quotient is taken with at least prec + 3 bits and a sticky bit set when
+    the remainder is not zero, so it rounds as the exact quotient does
     (``mpf_div`` perturbs its quotient the same way).  With y made positive
     Python's divmod floors, and the sticky bit of a negative quotient is
     the same round-bit argument as in :func:`_round`.
@@ -352,16 +352,15 @@ def _factor(x: tuple, prec: int) -> tuple:
 
     raw is x when its exponent lies outside [-prec - 100, 100], so that no
     shift grows with the exponent: :func:`_product` then adds n by
-    ``mpf_add``.  For an integer n < 2**100 that sum is correctly rounded
-    too, since it perturbs only when one operand lies wholly below the
-    other's last bit.  Otherwise raw is None.
+    ``mpf_add``.  For n of at most min(prec + 4, 100) bits, far more than
+    any term count, that sum is correctly rounded too: libmp perturbs only
+    an operand that then lies wholly below the other's last bit.
+    Otherwise raw is None.
     """
-    sign, man, exp, _ = x
+    X, exp = _signed(x)
     if not -prec - 100 <= exp <= 100:
         return 0, 0, 0, x
-    if exp >= 0:
-        return (-man if sign else man) << exp, 0, 0, None
-    return (-man if sign else man), exp, -exp, None
+    return (X << exp, 0, 0, None) if exp >= 0 else (X, exp, -exp, None)
 
 
 def _product(m: int, e: int, factors: list, n: int, prec: int) -> tuple:
@@ -842,7 +841,7 @@ def _levin_climb(nm: list, ne: list, dm: list, de: list, rows: list, prec: int):
 
 
 def _levin_scan(terms, M: int, tol, beta: int = 1):
-    """Levin u-type extrapolation over the partial sums of ``terms`` (raw mpf tuples).
+    """Levin u-type extrapolation over the partial sums of ``terms``.
 
     The estimate at order k is trusted by the spread of the last two orders,
     bound = 2 (|e_k - e_{k-1}| + |e_{k-1} - e_{k-2}|); the returned order
@@ -867,8 +866,8 @@ def _levin_scan(terms, M: int, tol, beta: int = 1):
     exact product), N_0[K] = S_K / w and D_0[K] = 1 / w (:func:`_div`), the
     estimate N_K[0] / D_K[0], the gap |e_k - e_{k-1}|, its test against
     tol/4 (:func:`_le`, exact), and the sums g_k + g_{k-1} that pick the
-    order.  ``mpf_add``, ``mpf_mul`` and ``mpf_div`` are each correctly
-    rounded to nearest-even, so every value equals libmp's; only the
+    order.  ``mpf_add``, ``mpf_sub``, ``mpf_mul`` and ``mpf_div`` are each
+    correctly rounded to nearest-even, so every value equals libmp's; only the
     returned estimate and bound 2 (g_k + g_{k-1}), an exact doubling, are
     packed into mpf.
     """

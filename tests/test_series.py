@@ -740,7 +740,7 @@ def _div_cases(prec, rng):
     for w in (_raw_odd(rng, prec, -prec - 9), (0, top, 4, prec), (1, 1 << prec, -3, prec + 1)):
         cases.append(("reciprocal", fone, w))
     cases.append(("zero_dividend", fzero, _raw_odd(rng, prec, 0)))
-    for n in range(300):
+    for _ in range(300):
         x = _raw_odd(rng, rng.choice((1, 2, prec // 2, prec - 1, prec)), rng.randint(-400, 400),
                      rng.getrandbits(1))
         y = _raw_odd(rng, rng.choice((1, 2, prec // 2, prec - 1, prec)), rng.randint(-400, 400),
