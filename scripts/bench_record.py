@@ -17,6 +17,9 @@ Beside the gain rule it gives each pair's ratio change/parent, with the
 median and quartiles of those ratios: a host that drifts during a record
 widens the parent's spread, but each pair runs both sides back to back, so
 the ratios keep the change apart from the drift.
+Each run also records its pass count, read from run.py's wall_s line: a
+faster program fits more passes into run_seconds, and perfbench keeps every
+pass's reports, so peak_rss_mb is read beside it.
 It also holds each checkout's commit and the line count of its
 src/watsonlab, as that checkout's perfbench/collect.py counts it.
 
@@ -36,6 +39,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from run import quartiles  # noqa: E402
 
 REPORT_SHA = "report sha256 "
+WALL_LINE = "wall_s "
 FIRST_SEED = 11
 SRC_LINES = "import sys; sys.path.insert(0, 'perfbench'); from collect import src_lines; print(src_lines())"
 
@@ -61,9 +65,11 @@ def run_once(path: Path, command, workload: str, seed: int, seconds) -> dict:
     except (IndexError, json.JSONDecodeError):
         result = {"correct": False, "metrics": {}}
     shas = [ln[len(REPORT_SHA):] for ln in lines if ln.startswith(REPORT_SHA)]
+    passes = [int(ln.rsplit("n=", 1)[1]) for ln in lines if ln.startswith(WALL_LINE)]
     return {"exit": out.returncode, "correct": result.get("correct", False),
             "attempted": result.get("attempted"), "failed": result.get("failed"),
             "report_sha256": shas[0] if shas else None,
+            "passes": passes[0] if passes else None,
             "metrics": {k: v["value"] for k, v in result.get("metrics", {}).items()},
             "elapsed_s": round(time.perf_counter() - t0, 2)}
 
@@ -124,7 +130,8 @@ def main(argv=None):
             for side in order:
                 pair[side] = run_once(dirs[side], command, workload, seed, bench["run_seconds"])
                 print(f"{workload} seed {seed} {side}: correct {pair[side]['correct']} "
-                      f"wall_s {pair[side]['metrics'].get('wall_s')}", file=sys.stderr)
+                      f"wall_s {pair[side]['metrics'].get('wall_s')} "
+                      f"passes {pair[side]['passes']}", file=sys.stderr)
             pairs.append(pair)
         ok = all(p[s]["correct"] and p[s]["metrics"] for p in pairs for s in dirs)
         record["workloads"][workload] = {

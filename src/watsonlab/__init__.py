@@ -19,4 +19,5 @@ from .lattice import (DivergentPoint, PreconditionViolation, ReductionPlan,
                       three_term_printed, to_pfq)
 from .report import RelationInstance, RelationReport
 from .verify import (RELATIONS, SUITE_ORDER, SamplingExhausted, UnknownRelation,
-                     check_debranges, check_relation, run_suite, sample_params)
+                     check_debranges, check_relation, run_suite, sample_params,
+                     worker_pool)

@@ -4,8 +4,9 @@ Exit codes: 0 pass, 1 refuted or divergent, 2 usage or I/O trouble,
 3 inconclusive.  All randomness is seeded and every report embeds the full
 run configuration, so identical invocations produce byte-identical output
 regardless of --threads.  Despite its name, --threads sets the number of worker
-processes (a ProcessPoolExecutor) that evaluate relation instances; 1 runs
-everything in this process.
+processes that evaluate relation instances: check and suite each start one
+ProcessPoolExecutor of that size for the whole command, and 1 runs everything
+in this process.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ class RunConfig:
             raise ValueError(f"digits must lie in [15, 1000], got {self.digits}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        self.ctx()      # refuses a pole_guard outside [0, 0.5), nan included
 
     def ctx(self) -> PrecisionCtx:
         return PrecisionCtx(digits=self.digits, pole_guard=self.pole_guard)
@@ -95,9 +97,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", dest="out_path", default=None,
                         help="write the report to this path instead of stdout")
     common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="number of worker processes evaluating instances (a process pool, "
-                             "despite the name; 1 runs in this process); reports do "
-                             "not depend on it")
+                        help="number of worker processes evaluating instances (despite the "
+                             "name; one process pool per command, 1 runs in this "
+                             "process); reports do not depend on it")
 
     parser = argparse.ArgumentParser(
         prog="watsonlab",
@@ -222,8 +224,9 @@ def _csv_text(reports) -> str:
 def _cmd_check(args, cfg: RunConfig) -> int:
     ctx = cfg.ctx()
     try:
-        report = verify.check_relation(args.relation_id, cfg.samples, cfg.seed, ctx,
-                                       threads=cfg.threads)
+        with verify.worker_pool(cfg.threads) as pool:
+            report = verify.check_relation(args.relation_id, cfg.samples, cfg.seed, ctx,
+                                           pool=pool)
     except verify.UnknownRelation:
         known = ", ".join(verify.SUITE_ORDER)
         print(f"error: unknown relation {args.relation_id!r}; known: {known}",

@@ -24,6 +24,7 @@ enough converged instances gives identity; anything else is inconclusive.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -686,13 +687,30 @@ def _task_worker(args) -> RelationInstance:
     return _evaluate_task(relation_id, kind, sample, seed, ctx, (w_lo, w_hi))
 
 
-def _run_tasks(tasks, threads: int):
-    if threads <= 1 or len(tasks) < 2:
+@contextlib.contextmanager
+def worker_pool(threads: int):
+    """One process pool of `threads` workers for every check_relation call in
+    the block, or None (evaluate in this process) for threads <= 1 or when no
+    pool can be started.  The pool shuts down, joining its workers, on exit,
+    so their CPU time and memory count as this process's children."""
+    if threads <= 1:
+        yield None
+        return
+    try:
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=threads)
+    except OSError:
+        yield None
+        return
+    with pool:
+        yield pool
+
+
+def _run_tasks(tasks, pool):
+    if pool is None or len(tasks) < 2:
         return [_task_worker(t) for t in tasks]
     try:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            chunk = max(1, len(tasks) // (threads * 4))
-            return list(pool.map(_task_worker, tasks, chunksize=chunk))
+        chunk = max(1, len(tasks) // (pool._max_workers * 4))
+        return list(pool.map(_task_worker, tasks, chunksize=chunk))
     except OSError:
         return [_task_worker(t) for t in tasks]
 
@@ -734,9 +752,11 @@ def _judged(rel: RelationDef, seed: int, ctx: PrecisionCtx, n_requested: int,
 
 
 def check_relation(relation_id: str, n_samples: int, seed: int, ctx: PrecisionCtx,
-                   window=DEFAULT_WINDOW, threads: int = 1) -> RelationReport:
+                   window=DEFAULT_WINDOW, pool=None) -> RelationReport:
     """Adjudicate one relation: deterministic probes plus n_samples random draws,
-    or every point of its fixed grid.
+    or every point of its fixed grid.  The instances are evaluated on pool, an
+    open worker_pool, or in this process when pool is None; the report does
+    not depend on which.
 
     The verdict rule, over converged instances only: not_identity needs one
     whose residual clears both 0.01 and 100 x its evaluation bounds, or one
@@ -762,7 +782,7 @@ def check_relation(relation_id: str, n_samples: int, seed: int, ctx: PrecisionCt
         minimum = n_samples
     tasks = [(relation_id, kind, sample, rel_seed, ctx.digits, ctx.pole_guard,
               window[0], window[1]) for kind, sample in work]
-    instances = [reindexed(inst, k) for k, inst in enumerate(_run_tasks(tasks, threads))]
+    instances = [reindexed(inst, k) for k, inst in enumerate(_run_tasks(tasks, pool))]
     report = _judged(rel, seed, ctx, n_samples, instances, minimum)
     if relation_id in FORM_IDS:
         closedform.record_adjudication(
@@ -787,13 +807,16 @@ def run_suite(seed: int, ctx: PrecisionCtx, samples: int = 100,
 
     The closed forms run first so the registry reflects this run; all residual
     evaluation stays series-only regardless.  The main recurrence always
-    receives enough samples to touch every cell of the (i, j) grid.
+    receives enough samples to touch every cell of the (i, j) grid.  With
+    threads > 1 one worker_pool serves every relation; its workers start with
+    the first relation, so they never see the registry, and never read it.
     """
     closedform.reset_registry()
     reports = []
-    for rid in SUITE_ORDER:
-        n = samples
-        if rid == "recurrence_16":
-            n = max(samples, len(GRID))
-        reports.append(check_relation(rid, n, seed, ctx, threads=threads))
+    with worker_pool(threads) as pool:
+        for rid in SUITE_ORDER:
+            n = samples
+            if rid == "recurrence_16":
+                n = max(samples, len(GRID))
+            reports.append(check_relation(rid, n, seed, ctx, pool=pool))
     return reports

@@ -51,6 +51,20 @@ def test_digits_floor_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["eval", "-a", "1", "-b", "1", "-c", "1"],
+                                     ["check", "watson_00"],
+                                     ["suite"],
+                                     ["reduce", "-a", "1", "-b", "1", "-c", "1", "-j", "1"]],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("guard", ["0.6", "0.5", "-1", "nan"])
+def test_pole_guard_out_of_range_rejected(capsys, command, guard):
+    code, out, err = run(capsys, *command, "--digits", "20", "--samples", "1",
+                         "--pole-guard", guard)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: pole_guard must lie in [0, 0.5)")
+
+
 def test_check_unknown_relation(capsys):
     code, _, err = run(capsys, "check", "nosuch")
     assert code == 2

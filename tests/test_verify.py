@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -6,14 +7,15 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from watsonlab import closedform
+from watsonlab import closedform, verify
+from watsonlab.cli import RunConfig, suite_document
 from watsonlab.mpnum import PrecisionCtx
 from watsonlab.verify import (CASE_ORDER, GRID, RELATIONS, SUITE_ORDER,
                               SamplingExhausted, SplitMix64, UnknownRelation,
                               _case_id, _debranges_points, _recurrence_constraints,
                               _relation_seed,
                               check_debranges, check_relation, sample_params,
-                              transcription_diff)
+                              transcription_diff, worker_pool)
 
 CTX = PrecisionCtx(digits=30)
 FAST = PrecisionCtx(digits=20)
@@ -204,8 +206,9 @@ def test_suite_order_and_expectations():
 
 
 def test_parallel_tasks_match_sequential():
-    seq = check_relation("case_1_0", 6, 0xC0FFEE, FAST, threads=1)
-    par = check_relation("case_1_0", 6, 0xC0FFEE, FAST, threads=2)
+    seq = check_relation("case_1_0", 6, 0xC0FFEE, FAST)
+    with worker_pool(2) as pool:
+        par = check_relation("case_1_0", 6, 0xC0FFEE, FAST, pool=pool)
     assert json.dumps(seq.as_dict(include_samples=True)) == \
         json.dumps(par.as_dict(include_samples=True))
 
@@ -229,7 +232,67 @@ def test_samples_built_once_per_check(monkeypatch, relation_id, field):
 
 def test_debranges_grid_matches_across_process_counts():
     # a probe-carrying relation is compared in test_parallel_tasks_match_sequential
-    seq = check_relation("debranges", 0, 0xC0FFEE, FAST, threads=1)
-    par = check_relation("debranges", 0, 0xC0FFEE, FAST, threads=2)
+    seq = check_relation("debranges", 0, 0xC0FFEE, FAST)
+    with worker_pool(2) as pool:
+        par = check_relation("debranges", 0, 0xC0FFEE, FAST, pool=pool)
     assert json.dumps(seq.as_dict(include_samples=True)) == \
         json.dumps(par.as_dict(include_samples=True))
+
+
+def _suite_bytes(threads: int) -> bytes:
+    cfg = RunConfig(digits=20, seed=7, samples=2, threads=threads)
+    reports = verify.run_suite(cfg.seed, cfg.ctx(), samples=cfg.samples, threads=threads)
+    return json.dumps(suite_document(reports, cfg), indent=2).encode()
+
+
+@pytest.fixture(scope="module")
+def serial_suite():
+    return _suite_bytes(1)
+
+
+def test_suite_starts_one_pool(monkeypatch, serial_suite):
+    started, checked = [], []
+    real_check = verify.check_relation
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(self)
+            super().__init__(*args, **kwargs)
+
+    def counted_check(*args, **kwargs):
+        checked.append(args[0])
+        return real_check(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(verify, "check_relation", counted_check)
+    assert _suite_bytes(2) == serial_suite
+    assert len(started) == 1
+    assert checked == list(SUITE_ORDER)
+    assert _suite_bytes(1) == serial_suite and len(started) == 1
+
+
+class _FailingPool(concurrent.futures.ProcessPoolExecutor):
+    """A pool whose start, or whose first map, fails as a host without
+    process support would."""
+    fail_at = "start"
+
+    def __init__(self, *args, **kwargs):
+        if self.fail_at == "start":
+            raise OSError("no processes")
+        super().__init__(*args, **kwargs)
+
+    def map(self, *args, **kwargs):
+        raise OSError("no processes")
+
+
+@pytest.mark.parametrize("fail_at", ["start", "map"])
+def test_pool_oserror_falls_back_to_serial(monkeypatch, serial_suite, fail_at):
+    monkeypatch.setattr(_FailingPool, "fail_at", fail_at)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FailingPool)
+    seq = check_relation("case_1_0", 6, 0xC0FFEE, FAST)
+    with worker_pool(2) as pool:
+        assert (pool is None) == (fail_at == "start")
+        par = check_relation("case_1_0", 6, 0xC0FFEE, FAST, pool=pool)
+    assert json.dumps(seq.as_dict(include_samples=True)) == \
+        json.dumps(par.as_dict(include_samples=True))
+    assert _suite_bytes(2) == serial_suite
