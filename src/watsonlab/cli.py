@@ -92,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--samples", type=int, default=100,
                         help="random samples per relation (default 100)")
     common.add_argument("--pole-guard", type=float, default=0.05, dest="pole_guard",
-                        help="minimum distance of gamma arguments from nonpositive integers")
+                        help="minimum distance of gamma arguments from nonpositive integers "
+                             "(in [0, 0.5), default 0.05)")
     common.add_argument("--output", choices=("text", "json", "csv"), default="text")
     common.add_argument("--out", dest="out_path", default=None,
                         help="write the report to this path instead of stdout")

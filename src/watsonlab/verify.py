@@ -687,22 +687,18 @@ def _task_worker(args) -> RelationInstance:
     return _evaluate_task(relation_id, kind, sample, seed, ctx, (w_lo, w_hi))
 
 
-@contextlib.contextmanager
 def worker_pool(threads: int):
-    """One process pool of `threads` workers for every check_relation call in
-    the block, or None (evaluate in this process) for threads <= 1 or when no
-    pool can be started.  The pool shuts down, joining its workers, on exit,
-    so their CPU time and memory count as this process's children."""
-    if threads <= 1:
-        yield None
-        return
-    try:
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=threads)
-    except OSError:
-        yield None
-        return
-    with pool:
-        yield pool
+    """A context giving one process pool of `threads` workers for every
+    check_relation call in its block, or None (evaluate in this process) for
+    threads <= 1 or when no pool can be started.  The pool shuts down, joining
+    its workers, on exit, so their CPU time and memory count as this
+    process's children."""
+    if threads > 1:
+        try:
+            return concurrent.futures.ProcessPoolExecutor(max_workers=threads)
+        except OSError:
+            pass
+    return contextlib.nullcontext()
 
 
 def _run_tasks(tasks, pool):
@@ -808,8 +804,9 @@ def run_suite(seed: int, ctx: PrecisionCtx, samples: int = 100,
     The closed forms run first so the registry reflects this run; all residual
     evaluation stays series-only regardless.  The main recurrence always
     receives enough samples to touch every cell of the (i, j) grid.  With
-    threads > 1 one worker_pool serves every relation; its workers start with
-    the first relation, so they never see the registry, and never read it.
+    threads > 1 one worker_pool serves every relation.  Its workers fork at
+    the first relation, before the closed forms are adjudicated, so they see
+    an empty registry; residual evaluation never reads it.
     """
     closedform.reset_registry()
     reports = []
