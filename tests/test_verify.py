@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import multiprocessing
 from dataclasses import replace
 from fractions import Fraction
 
@@ -267,6 +268,7 @@ def test_suite_starts_one_pool(monkeypatch, serial_suite):
     monkeypatch.setattr(verify, "check_relation", counted_check)
     assert _suite_bytes(2) == serial_suite
     assert len(started) == 1
+    assert not multiprocessing.active_children()      # joined before run_suite returned
     assert checked == list(SUITE_ORDER)
     assert _suite_bytes(1) == serial_suite and len(started) == 1
 
