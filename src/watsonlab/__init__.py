@@ -10,9 +10,8 @@ from .series import (PFQ, ArgumentNotUnity, DivergentSeries, EvalResult,
                      NonRationalInput, NotTerminating, OutsideRadius,
                      SeriesError, convergence_margin, eval_exact, eval_general,
                      eval_unit, termination_degree)
-from .closedform import (FORM_IDS, DivergenceRegion, FormVerdict, ParameterPole,
-                         UnknownForm, gauss_2f1_unit, lavoie_minus, lavoie_plus,
-                         registry_verdict, reset_registry, watson_00)
+from .closedform import (FORM_IDS, DivergenceRegion, ParameterPole, gauss_2f1_unit,
+                         lavoie_minus, lavoie_plus, registry_as_dicts, watson_00)
 from .lattice import (DivergentPoint, PreconditionViolation, ReductionPlan,
                       UnsupportedIndex, WatsonPoint, eval_point, margin,
                       recurrence_residual, reduce_to_watson, three_term_corrected,

@@ -5,8 +5,8 @@ Exit codes: 0 pass, 1 refuted or divergent, 2 usage or I/O trouble,
 run configuration, so identical invocations produce byte-identical output
 regardless of --threads.  Despite its name, --threads sets the number of worker
 processes that evaluate relation instances: check and suite each start one
-ProcessPoolExecutor of that size for the whole command, and 1 runs everything
-in this process.
+ProcessPoolExecutor of that size, capped at the CPU count, for the whole
+command, and 1 runs everything in this process.
 """
 
 from __future__ import annotations
@@ -52,6 +52,8 @@ class RunConfig:
             raise ValueError(f"digits must lie in [15, 1000], got {self.digits}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
         self.ctx()      # refuses a pole_guard outside [0, 0.5), nan included
 
     def ctx(self) -> PrecisionCtx:
@@ -73,19 +75,10 @@ def _digits_arg(text: str) -> int:
     return value
 
 
-def _default_digits() -> int:
-    env = os.environ.get("WATSON_DIGITS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 50
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--digits", type=_digits_arg, default=_default_digits(),
+    common.add_argument("--digits", type=_digits_arg,
+                        default=os.environ.get("WATSON_DIGITS", "50"),
                         help="decimal working precision (15..1000; WATSON_DIGITS overrides the default)")
     common.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
                         help="sampling seed (default 0xC0FFEE)")
@@ -99,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the report to this path instead of stdout")
     common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                         help="number of worker processes evaluating instances (despite the "
-                             "name; one process pool per command, 1 runs in this "
-                             "process); reports do not depend on it")
+                             "name; one process pool per command, at most one worker "
+                             "per CPU, 1 runs in this process); reports do not depend on it")
 
     parser = argparse.ArgumentParser(
         prog="watsonlab",
@@ -137,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from(args) -> RunConfig:
     return RunConfig(digits=args.digits, seed=args.seed, samples=args.samples,
                      pole_guard=args.pole_guard, output=args.output,
-                     out_path=args.out_path, threads=max(1, args.threads))
+                     out_path=args.out_path, threads=args.threads)
 
 
 def _emit(text: str, out_path: Optional[str]) -> int:
@@ -254,7 +247,7 @@ def suite_document(reports, cfg: RunConfig) -> dict:
         "pole_guard": cfg.pole_guard,
         "margin_window": list(verify.DEFAULT_WINDOW),
         "relations": [r.as_dict() for r in reports],
-        "closed_form_registry": closedform.registry_as_dicts(),
+        "closed_form_registry": closedform.registry_as_dicts(reports),
     }
 
 

@@ -1,9 +1,11 @@
-"""Gamma-product closed forms for distinguished lattice rows, plus the trust registry.
+"""Gamma-product closed forms for distinguished lattice rows, and the trust
+status the suite derives for them.
 
 Each function computes exactly what its source formula prints.  Correctness is
 never assumed: the verify layer adjudicates every form against series
-evaluation and records a verdict here.  Printed misprints must stay observable,
-so nothing in this module "fixes" a formula.
+evaluation, and registry_as_dicts reads each form's status off those reports;
+no state is kept between runs.  Printed misprints must stay observable, so
+nothing in this module "fixes" a formula.
 
 All four forms follow the row j of the lattice 3F2(a, b, c; (a+b+1)/2, 2c+j; 1)
 at j = 0 (watson_00), j = +1 (lavoie_plus), j = -1 (lavoie_minus); gauss is the
@@ -12,15 +14,14 @@ at j = 0 (watson_00), j = +1 (lavoie_plus), j = -1 (lavoie_minus); gauss is the
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
-from typing import Tuple
 
 import mpmath
 from mpmath import mpf
 
 from .mpnum import PrecisionCtx, as_rational, gamma_product, to_mpf_ambient
+from .report import fmt_num
 
 FORM_IDS = ("gauss", "watson_00", "lavoie_plus", "lavoie_minus")
 
@@ -49,70 +50,30 @@ class ParameterPole(ValueError):
     """a or b too close to a nonpositive integer; the form would need a limit."""
 
 
-class UnknownForm(KeyError):
-    pass
-
-
-@dataclass(frozen=True)
-class FormVerdict:
-    form_id: str
-    status: str = "unverified"      # unverified | verified | refuted
-    n_samples: int = 0
-    worst_rel_residual: object = None
-    evidence: Tuple = ()
-
-
-_REGISTRY = {fid: FormVerdict(fid) for fid in FORM_IDS}
-_REGISTRY_LOCK = threading.Lock()
-
-
-def registry_verdict(form_id: str) -> FormVerdict:
-    try:
-        with _REGISTRY_LOCK:
-            return _REGISTRY[form_id]
-    except KeyError:
-        raise UnknownForm(form_id) from None
-
-
-def record_adjudication(form_id: str, verdict: str, n_converged: int,
-                        worst_rel_residual, evidence_ref) -> FormVerdict:
-    """Map a relation verdict onto the registry; verified needs >= 100 samples."""
-    if form_id not in FORM_IDS:
-        raise UnknownForm(form_id)
-    if verdict == "identity" and n_converged >= 100:
-        status = "verified"
-    elif verdict == "not_identity":
-        status = "refuted"
-    else:
-        status = "unverified"
-    with _REGISTRY_LOCK:
-        prev = _REGISTRY[form_id]
-        fv = FormVerdict(form_id, status, n_converged, worst_rel_residual,
-                         prev.evidence + (evidence_ref,))
-        _REGISTRY[form_id] = fv
-        return fv
-
-
-def reset_registry():
-    with _REGISTRY_LOCK:
-        for fid in FORM_IDS:
-            _REGISTRY[fid] = FormVerdict(fid)
-
-
-def registry_as_dicts():
-    from .report import fmt_num
-    with _REGISTRY_LOCK:
-        snap = [_REGISTRY[fid] for fid in FORM_IDS]
-    return [
-        {
-            "form_id": fv.form_id,
-            "source_equation": FORM_EQUATIONS[fv.form_id],
-            "status": fv.status,
-            "n_samples": fv.n_samples,
-            "worst_rel_residual": fmt_num(fv.worst_rel_residual),
-        }
-        for fv in snap
-    ]
+def registry_as_dicts(reports):
+    """The suite document's closed_form_registry rows, one per form in FORM_IDS
+    order, derived from that form's report among `reports` (the last, if
+    several).  A form is verified by an identity verdict on at least 100
+    converged samples and refuted by not_identity; anything else, a form
+    without a report included, leaves it unverified."""
+    by_form = {r.relation_id: r for r in reports}
+    rows = []
+    for fid in FORM_IDS:
+        rep = by_form.get(fid)
+        if rep is None:
+            status, n, worst = "unverified", 0, None
+        else:
+            n, worst = rep.n_converged, rep.worst_rel_residual
+            if rep.verdict == "identity" and n >= 100:
+                status = "verified"
+            elif rep.verdict == "not_identity":
+                status = "refuted"
+            else:
+                status = "unverified"
+        rows.append({"form_id": fid, "source_equation": FORM_EQUATIONS[fid],
+                     "status": status, "n_samples": n,
+                     "worst_rel_residual": fmt_num(worst)})
+    return rows
 
 
 def _coerce3(ctx: PrecisionCtx, a, b, c):

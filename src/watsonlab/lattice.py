@@ -1,6 +1,6 @@
 """The two-index Watson lattice f_{i,j}(a,b,c) = 3F2(a,b,c; (a+b+i+1)/2, 2c+j; 1).
 
-Besides coordinate mapping and evaluation dispatch, this module carries the
+Besides coordinate mapping and point evaluation, this module carries the
 three linear relations the verify layer adjudicates:
 
   * the main recurrence connecting (i, j+1), (i, j) and the unit-shifted
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 import mpmath
 from mpmath import mpf
@@ -104,34 +104,16 @@ def margin(p: WatsonPoint):
                 - (to_mpf_ambient(p.a) + to_mpf_ambient(p.b)) / 2)
 
 
-_FORM_FOR_ROW = {(0, 0): "watson_00", (0, 1): "lavoie_plus", (0, -1): "lavoie_minus"}
-
-
 def eval_point(p: WatsonPoint, ctx: PrecisionCtx, tol=None,
-               use_closed_forms: bool = True) -> EvalResult:
-    """Evaluate f_{i,j}(a,b,c).
+               use_closed_forms: bool = False) -> EvalResult:
+    """Evaluate f_{i,j}(a,b,c) by eval_unit: exact rational summation when the
+    series terminates with exact data, otherwise series evaluation.
 
-    Dispatch: exact rational summation when the series terminates with exact
-    data; a registry-verified closed form on the rows that have one; otherwise
-    series evaluation.  A numerator that only nearly ends the series (see
-    series_end) skips the closed form, whose gamma factors would read it as
-    the integer, and eval_unit refuses it.  During adjudication the caller
-    passes use_closed_forms=False so trust never becomes circular.
+    use_closed_forms has no effect; it is kept only because
+    perfbench/workloads.py and perfbench/checks.py still pass it.
     """
-    f = to_pfq(p)
-    m, near = series_end(f, ctx.pole_guard)
-    if use_closed_forms and m is None and near is None:
-        form_id = _FORM_FOR_ROW.get((p.i, p.j))
-        if form_id is not None and closedform.registry_verdict(form_id).status == "verified":
-            try:
-                value = closedform.FORM_FUNCS[form_id](p.a, p.b, p.c, ctx)
-            except (closedform.DivergenceRegion, closedform.ParameterPole, NumeratorPole):
-                value = None
-            if value is not None:
-                bound = abs(value) * mpf(10) ** (6 - ctx.digits)
-                return EvalResult(value, ctx.mpf(bound), 0, "closed_form", True)
     try:
-        return eval_unit(f, ctx, tol=tol)
+        return eval_unit(to_pfq(p), ctx, tol=tol)
     except DivergentSeries as exc:
         raise DivergentPoint(str(exc)) from exc
 

@@ -124,7 +124,7 @@ class EvalResult:
     value: mpf
     abs_err_bound: mpf
     terms_used: int
-    method: str            # exact_rational | direct | accelerated | closed_form
+    method: str            # exact_rational | direct | accelerated
     converged: bool
     exact_value: Optional[Fraction] = None
 

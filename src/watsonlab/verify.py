@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
@@ -34,7 +35,6 @@ import mpmath
 from mpmath import mpf
 
 from . import closedform, lattice
-from .closedform import FORM_IDS
 from .mpnum import (NumeratorPole, PrecisionCtx, gamma_product, nearest_nonpos_int,
                     to_mpf_ambient)
 from .report import RelationInstance, RelationReport, finish_instance, reindexed
@@ -688,14 +688,16 @@ def _task_worker(args) -> RelationInstance:
 
 
 def worker_pool(threads: int):
-    """A context giving one process pool of `threads` workers for every
-    check_relation call in its block, or None (evaluate in this process) for
-    threads <= 1 or when no pool can be started.  The pool shuts down, joining
-    its workers, on exit, so their CPU time and memory count as this
-    process's children."""
+    """A context giving one process pool for every check_relation call in its
+    block, or None (evaluate in this process) for threads <= 1 or when no pool
+    can be started.  The pool has `threads` workers, at most one per CPU: a
+    fork pool starts them all at its first task, and the report does not
+    depend on their number.  The pool shuts down, joining its workers, on
+    exit, so their CPU time and memory count as this process's children."""
     if threads > 1:
         try:
-            return concurrent.futures.ProcessPoolExecutor(max_workers=threads)
+            return concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(threads, os.cpu_count() or 1))
         except OSError:
             pass
     return contextlib.nullcontext()
@@ -760,7 +762,7 @@ def check_relation(relation_id: str, n_samples: int, seed: int, ctx: PrecisionCt
     counterexample); identity needs every residual inside
     max(10^(-digits/3), 100 x its bounds) and at least the requested number of
     converged instances (every grid point, for a grid); anything else is
-    inconclusive.  Closed-form relations feed the trust registry.
+    inconclusive.
     """
     if relation_id not in RELATIONS:
         raise UnknownRelation(relation_id)
@@ -779,12 +781,7 @@ def check_relation(relation_id: str, n_samples: int, seed: int, ctx: PrecisionCt
     tasks = [(relation_id, kind, sample, rel_seed, ctx.digits, ctx.pole_guard,
               window[0], window[1]) for kind, sample in work]
     instances = [reindexed(inst, k) for k, inst in enumerate(_run_tasks(tasks, pool))]
-    report = _judged(rel, seed, ctx, n_samples, instances, minimum)
-    if relation_id in FORM_IDS:
-        closedform.record_adjudication(
-            relation_id, report.verdict, report.n_converged, report.worst_rel_residual,
-            evidence_ref=(relation_id, seed, ctx.digits, len(instances)))
-    return report
+    return _judged(rel, seed, ctx, n_samples, instances, minimum)
 
 
 def check_debranges(grid, ctx: PrecisionCtx) -> RelationReport:
@@ -801,14 +798,10 @@ def run_suite(seed: int, ctx: PrecisionCtx, samples: int = 100,
               threads: int = 1) -> List[RelationReport]:
     """Adjudicate every relation in the fixed published order.
 
-    The closed forms run first so the registry reflects this run; all residual
-    evaluation stays series-only regardless.  The main recurrence always
-    receives enough samples to touch every cell of the (i, j) grid.  With
-    threads > 1 one worker_pool serves every relation.  Its workers fork at
-    the first relation, before the closed forms are adjudicated, so they see
-    an empty registry; residual evaluation never reads it.
+    Residual evaluation is series-only, so no verdict feeds another.  The
+    main recurrence always receives enough samples to touch every cell of the
+    (i, j) grid.  With threads > 1 one worker_pool serves every relation.
     """
-    closedform.reset_registry()
     reports = []
     with worker_pool(threads) as pool:
         for rid in SUITE_ORDER:

@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from watsonlab import closedform
 from watsonlab.cli import main
 
 PI2_4_30 = "2.46740110027233965470862274996"
@@ -72,7 +71,6 @@ def test_check_unknown_relation(capsys):
 
 
 def test_check_exit_codes(capsys):
-    closedform.reset_registry()
     code, out, _ = run(capsys, "check", "recurrence_16", "--samples", "6",
                        "--digits", "20", "--threads", "1")
     assert code == 0
@@ -81,7 +79,6 @@ def test_check_exit_codes(capsys):
                        "--digits", "20")
     assert code == 1
     assert "counterexample" in out and "a=0" in out
-    closedform.reset_registry()
 
 
 def test_check_json_and_csv(capsys):
@@ -120,6 +117,26 @@ def test_env_digits_default(capsys, monkeypatch):
                        "--output", "json")
     assert code == 0
     assert json.loads(out)["digits"] == 18
+
+
+def test_env_digits_invalid_rejected(capsys, monkeypatch):
+    monkeypatch.setenv("WATSON_DIGITS", "abc")
+    code, out, err = run(capsys, "eval", "-a", "-1", "-b", "1", "-c", "1")
+    assert code == 2
+    assert out == "" and "--digits" in err
+    # an explicit --digits wins over the environment
+    code, out, _ = run(capsys, "eval", "-a", "-1", "-b", "1", "-c", "1",
+                       "--digits", "18", "--output", "json")
+    assert code == 0 and json.loads(out)["digits"] == 18
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_rejected(capsys, threads):
+    code, out, err = run(capsys, "check", "watson_00", "--digits", "20",
+                         "--samples", "1", "--threads", threads)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: threads must be >= 1, got {threads}")
 
 
 @pytest.fixture(scope="module")

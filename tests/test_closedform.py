@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 from mpmath import mpf
 
-from watsonlab.closedform import (FORM_IDS, DivergenceRegion, ParameterPole,
-                                  UnknownForm, gauss_2f1_unit, lavoie_minus,
-                                  lavoie_plus, record_adjudication,
-                                  registry_verdict, reset_registry, watson_00)
+from watsonlab.closedform import (FORM_EQUATIONS, FORM_IDS, DivergenceRegion,
+                                  ParameterPole, gauss_2f1_unit, lavoie_minus,
+                                  lavoie_plus, registry_as_dicts, watson_00)
 from watsonlab.lattice import WatsonPoint, to_pfq
 from watsonlab.mpnum import NumeratorPole, PrecisionCtx
+from watsonlab.report import RelationReport, fmt_num
 from watsonlab.series import PFQ, eval_exact, eval_unit
 
 CTX = PrecisionCtx(digits=30)
@@ -156,18 +156,34 @@ def test_forms_agree_with_series(form_id):
             done += 1
 
 
-def test_registry_lifecycle():
-    reset_registry()
+def _report(form_id, verdict, n_converged, worst):
+    return RelationReport(relation_id=form_id, anchor="", seed=1, digits=30,
+                          n_requested=n_converged, samples=(), verdict=verdict,
+                          worst_rel_residual=worst, counterexample=None,
+                          n_converged=n_converged)
+
+
+def test_registry_as_dicts_derives_status_from_reports():
     assert set(FORM_IDS) == {"gauss", "watson_00", "lavoie_plus", "lavoie_minus"}
-    assert registry_verdict("watson_00").status == "unverified"
-    with pytest.raises(UnknownForm):
-        registry_verdict("nosuch")
-    fv = record_adjudication("watson_00", "identity", 120, mpf("1e-20"), ("watson_00", 1, 30, 120))
-    assert fv.status == "verified"
-    fv = record_adjudication("watson_00", "identity", 50, mpf("1e-20"), ("watson_00", 1, 30, 50))
-    assert fv.status == "unverified"     # below the 100-sample floor
-    fv = record_adjudication("lavoie_minus", "not_identity", 40, mpf("0.4"), ("lavoie_minus", 1, 30, 40))
-    assert fv.status == "refuted"
-    assert len(registry_verdict("lavoie_minus").evidence) == 1
-    reset_registry()
-    assert registry_verdict("lavoie_minus").status == "unverified"
+    rows = registry_as_dicts([
+        _report("watson_00", "identity", 120, mpf("1e-20")),
+        _report("lavoie_plus", "identity", 50, mpf("1e-20")),
+        _report("lavoie_minus", "not_identity", 40, mpf("0.4")),
+        _report("recurrence_16", "identity", 500, mpf("1e-20")),
+    ])
+    assert [r["form_id"] for r in rows] == list(FORM_IDS)
+    by_id = {r["form_id"]: r for r in rows}
+    assert by_id["watson_00"] == {
+        "form_id": "watson_00", "source_equation": FORM_EQUATIONS["watson_00"],
+        "status": "verified", "n_samples": 120, "worst_rel_residual": fmt_num(mpf("1e-20"))}
+    assert by_id["lavoie_plus"]["status"] == "unverified"   # below the 100-sample floor
+    assert by_id["lavoie_plus"]["n_samples"] == 50
+    assert by_id["lavoie_minus"]["status"] == "refuted"
+    assert by_id["lavoie_minus"]["worst_rel_residual"] == fmt_num(mpf("0.4"))
+    # no report for a form leaves it unverified with nothing measured
+    assert by_id["gauss"] == {
+        "form_id": "gauss", "source_equation": FORM_EQUATIONS["gauss"],
+        "status": "unverified", "n_samples": 0, "worst_rel_residual": None}
+    # an inconclusive verdict does not verify, however many samples converged
+    rows = registry_as_dicts([_report("gauss", "inconclusive", 150, mpf(1))])
+    assert rows[0]["status"] == "unverified" and rows[0]["n_samples"] == 150

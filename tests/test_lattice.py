@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
-from watsonlab import closedform
 from watsonlab.lattice import (DivergentPoint, PreconditionViolation,
                                UnsupportedIndex, WatsonPoint, eval_point,
                                margin, recurrence_residual, reduce_to_watson,
@@ -61,6 +60,10 @@ def test_eval_point_watson_value():
     res = eval_point(WatsonPoint(1, 1, 1, 0, 0), CTX, tol=mpf(10) ** -25)
     with CTX.working(5):
         assert abs(res.value - mpf(PI2_4)) <= mpf(10) ** -25
+    res = eval_point(WatsonPoint(1, 1, 1, 0, 0), CTX)
+    assert res.method == "accelerated"
+    with CTX.working(5):
+        assert abs(res.value - mpf(PI2_4)) <= mpf(10) ** (8 - CTX.digits)
 
 
 def test_eval_point_series_row_away_from_base():
@@ -90,57 +93,31 @@ def test_eval_point_rational_near_pole_is_not_exact():
 
 
 def test_eval_point_inexact_near_pole_numerator_is_refused():
-    # a = -0.97 as a float nearly ends the series at n = 1 but does not; the
-    # verified Watson form would read it as -1 and give that point's value 0
-    # (hyp3f2: 0.0409...), so the closed form is skipped and the series refuses
-    closedform.reset_registry()
-    try:
-        closedform.record_adjudication("watson_00", "identity", 150, mpf("1e-25"), ("t", 0, 30, 150))
-        with pytest.raises(SeriesError, match="numerator parameter -0.97"):
-            eval_point(WatsonPoint(-0.97, 1, 2, 0, 0), CTX)
-        with pytest.raises(PreconditionViolation, match="does not terminate"):
-            recurrence_residual(WatsonPoint(-0.97, 1, -1.5, 0, 0), CTX)
-    finally:
-        closedform.reset_registry()
+    # a = -0.97 as a float nearly ends the series at n = 1 but does not;
+    # truncating there, or reading it as -1 as the Watson form's gamma factors
+    # would, gives that point's value 0 (hyp3f2: 0.0409...), so it is refused
+    with pytest.raises(SeriesError, match="numerator parameter -0.97"):
+        eval_point(WatsonPoint(-0.97, 1, 2, 0, 0), CTX)
+    with pytest.raises(PreconditionViolation, match="does not terminate"):
+        recurrence_residual(WatsonPoint(-0.97, 1, -1.5, 0, 0), CTX)
 
 
 def test_eval_point_near_pole_denominator_falls_through_to_series():
     # c - a/2 + 1/2 = -0.99 is a denominator gamma argument of the Watson form
-    # near -1 but not at it; the form is inapplicable there, so eval_point sums
+    # near -1 but not at it, where the form is inapplicable; eval_point sums
     # the series (hyp3f2 at 40 digits: 0.13071873637560774080668665148740867)
-    closedform.reset_registry()
-    try:
-        closedform.record_adjudication("watson_00", "identity", 150, mpf("1e-25"), ("t", 0, 30, 150))
-        res = eval_point(WatsonPoint(0.2, -2.5, -1.39, 0, 0), CTX)
-        assert res.method == "accelerated" and res.converged
-        with CTX.working(10):
-            ref = mpf("0.13071873637560774080668665148740867")
-            assert 0 < res.abs_err_bound <= mpf(10) ** -25
-            # the bound leaves out the final rounding to the context (Defect A)
-            assert abs(res.value - ref) <= res.abs_err_bound + abs(ref) * mpf(2) ** -CTX.prec
-    finally:
-        closedform.reset_registry()
+    res = eval_point(WatsonPoint(0.2, -2.5, -1.39, 0, 0), CTX)
+    assert res.method == "accelerated" and res.converged
+    with CTX.working(10):
+        ref = mpf("0.13071873637560774080668665148740867")
+        assert 0 < res.abs_err_bound <= mpf(10) ** -25
+        # the bound leaves out the final rounding to the context (Defect A)
+        assert abs(res.value - ref) <= res.abs_err_bound + abs(ref) * mpf(2) ** -CTX.prec
 
 
 def test_eval_point_divergent():
     with pytest.raises(DivergentPoint):
         eval_point(WatsonPoint(2, 2, 1, 0, 0), CTX)
-
-
-def test_eval_point_closed_form_fast_path_requires_verified():
-    closedform.reset_registry()
-    p = WatsonPoint(1, 1, 1, 0, 0)
-    assert eval_point(p, CTX).method == "accelerated"
-    try:
-        closedform.record_adjudication("watson_00", "identity", 150, mpf("1e-25"), ("t", 0, 30, 150))
-        res = eval_point(p, CTX)
-        assert res.method == "closed_form"
-        with CTX.working(5):
-            assert abs(res.value - mpf(PI2_4)) <= mpf(10) ** (8 - CTX.digits)
-        # series-only callers bypass the fast path even when verified
-        assert eval_point(p, CTX, use_closed_forms=False).method == "accelerated"
-    finally:
-        closedform.reset_registry()
 
 
 def test_recurrence_exact_probes():

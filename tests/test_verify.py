@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import multiprocessing
+import os
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from mpmath import mpf
 
 from watsonlab import closedform, verify
 from watsonlab.cli import RunConfig, suite_document
+from watsonlab.lattice import WatsonPoint, eval_point
 from watsonlab.mpnum import PrecisionCtx
 from watsonlab.verify import (CASE_ORDER, GRID, RELATIONS, SUITE_ORDER,
                               SamplingExhausted, SplitMix64, UnknownRelation,
@@ -63,25 +65,30 @@ def test_unknown_relation():
         check_relation("nosuch", 5, 0, CTX)
 
 
+def _status(reports, form_id):
+    return {r["form_id"]: r["status"]
+            for r in closedform.registry_as_dicts(reports)}[form_id]
+
+
 def test_watson_identity_and_registry_promotion():
-    closedform.reset_registry()
     rep = check_relation("watson_00", 100, 0xC0FFEE, FAST)
     assert rep.verdict == "identity"
     assert rep.n_converged >= 100
     assert float(rep.worst_rel_residual) <= 10 ** (-FAST.digits / 3)
-    assert closedform.registry_verdict("watson_00").status == "verified"
-    closedform.reset_registry()
+    assert _status([rep], "watson_00") == "verified"
+    assert _status([], "watson_00") == "unverified"
+    # a verified form leaves no trace: eval_point still sums the series
+    res = eval_point(WatsonPoint(1, 1, 1, 0, 0), FAST)
+    assert res.method == "accelerated" and res.converged
 
 
 def test_lavoie_minus_refuted_with_probe_counterexample():
-    closedform.reset_registry()
     rep = check_relation("lavoie_minus", 12, 0xC0FFEE, FAST)
     assert rep.verdict == "not_identity"
     ce = rep.counterexample
     assert ce.params == {"a": Fraction(1, 2), "b": Fraction(1, 2), "c": Fraction(2)}
     assert float(ce.rel_residual) > 0.01
-    assert closedform.registry_verdict("lavoie_minus").status == "refuted"
-    closedform.reset_registry()
+    assert _status([rep], "lavoie_minus") == "refuted"
 
 
 def test_three_term_printed_counterexample_is_first_probe():
@@ -187,7 +194,6 @@ def test_monotone_precision_watson():
     lo = check_relation("watson_00", 10, 0xC0FFEE, FAST)
     hi = check_relation("watson_00", 10, 0xC0FFEE, PrecisionCtx(digits=40))
     assert lo.verdict == "identity" and hi.verdict == "identity"
-    closedform.reset_registry()
 
 
 def test_relation_seed_mixing_stable():
@@ -229,6 +235,13 @@ def test_samples_built_once_per_check(monkeypatch, relation_id, field):
     rep = check_relation(relation_id, 4, 0xC0FFEE, FAST)
     assert len(calls) == 1
     assert rep.samples
+
+
+def test_worker_pool_capped_at_cpu_count():
+    # a fork pool starts all its workers at the first task, so the cap is
+    # checked on a pool that is never given one
+    with worker_pool(10 ** 6) as pool:
+        assert pool._max_workers == (os.cpu_count() or 1)
 
 
 def test_debranges_grid_matches_across_process_counts():
