@@ -26,7 +26,7 @@ from mpmath import mpf
 from . import closedform
 from .mpnum import NumeratorPole, PrecisionCtx, as_rational, to_mpf_ambient
 from .report import RelationInstance, finish_instance
-from .series import PFQ, DivergentSeries, EvalResult, eval_unit, series_end
+from .series import PFQ, DivergentSeries, EvalResult, classify, eval_unit
 
 
 class PreconditionViolation(ValueError):
@@ -86,8 +86,8 @@ def _carried_prec(*values) -> int:
 
 def to_pfq(p: WatsonPoint) -> PFQ:
     """Numerators (a,b,c), denominators ((a+b+i+1)/2, 2c+j), unit argument."""
-    ra, rb, rc = as_rational(p.a), as_rational(p.b), as_rational(p.c)
-    if None not in (ra, rb, rc):
+    if (exact := _exact3(p)) is not None:
+        ra, rb, rc = exact
         return PFQ((ra, rb, rc), ((ra + rb + p.i + 1) / 2, 2 * rc + p.j), Fraction(1))
     with mpmath.workprec(_carried_prec(p.a, p.b, p.c)):
         a, b, c = to_mpf_ambient(p.a), to_mpf_ambient(p.b), to_mpf_ambient(p.c)
@@ -96,8 +96,8 @@ def to_pfq(p: WatsonPoint) -> PFQ:
 
 def margin(p: WatsonPoint):
     """Parametric excess s = c + j + (i+1)/2 - (a+b)/2 of the unit-argument series."""
-    ra, rb, rc = as_rational(p.a), as_rational(p.b), as_rational(p.c)
-    if None not in (ra, rb, rc):
+    if (exact := _exact3(p)) is not None:
+        ra, rb, rc = exact
         return rc + p.j + Fraction(p.i + 1, 2) - (ra + rb) / 2
     with mpmath.workprec(_carried_prec(p.a, p.b, p.c)):
         return (to_mpf_ambient(p.c) + p.j + mpf(p.i + 1) / 2
@@ -118,32 +118,33 @@ def eval_point(p: WatsonPoint, ctx: PrecisionCtx, tol=None,
         raise DivergentPoint(str(exc)) from exc
 
 
-def _point_value(p: WatsonPoint, ctx: PrecisionCtx, tol):
+def _point_value(f: PFQ, ctx: PrecisionCtx, tol):
     """(value, abs bound, converged, is_exact); value is a Fraction when exact."""
-    res = eval_unit(to_pfq(p), ctx, tol=tol)
+    res = eval_unit(f, ctx, tol=tol)
     if res.exact_value is not None:
         return res.exact_value, Fraction(0), True, True
     return res.value, res.abs_err_bound, res.converged, False
 
 
-def _require_convergent_or_terminating(p: WatsonPoint, ctx: PrecisionCtx, label: str):
+def _convergent_or_terminating(p: WatsonPoint, ctx: PrecisionCtx, label: str) -> PFQ:
+    """p's series; PreconditionViolation when it neither ends nor converges.  An
+    inexact margin is margin(p), formed at the precision p's mantissas carry."""
     f = to_pfq(p)
-    if series_end(f, ctx.pole_guard)[0] is not None:
-        return
-    if float(to_mpf_ambient(margin(p))) <= 0:
+    c = classify(f, ctx.pole_guard)
+    if c.m is None and (s := float(to_mpf_ambient(
+            margin(p) if c.excess is None else c.excess))) <= 0:
         raise PreconditionViolation(
-            f"{label} at (i={p.i}, j={p.j}) has margin {float(to_mpf_ambient(margin(p))):.4g} <= 0 "
-            "and does not terminate")
+            f"{label} at (i={p.i}, j={p.j}) has margin {s:.4g} <= 0 and does not terminate")
+    return f
 
 
 def _require_away_from_zero(value, name, guard):
-    if abs(float(to_mpf_ambient(value))) < guard:
-        raise PreconditionViolation(f"factor {name} = {float(to_mpf_ambient(value)):.4g} "
-                                    f"is within {guard} of 0")
+    if abs(v := float(to_mpf_ambient(value))) < guard:
+        raise PreconditionViolation(f"factor {name} = {v:.4g} is within {guard} of 0")
 
 
-def _exact3(a, b, c):
-    ra, rb, rc = as_rational(a), as_rational(b), as_rational(c)
+def _exact3(p: WatsonPoint):
+    ra, rb, rc = as_rational(p.a), as_rational(p.b), as_rational(p.c)
     return (ra, rb, rc) if None not in (ra, rb, rc) else None
 
 
@@ -183,14 +184,11 @@ def recurrence_residual(p: WatsonPoint, ctx: PrecisionCtx, tol=None,
     _require_away_from_zero(a + b + i + 1, "a+b+i+1", guard)
     _require_away_from_zero(2 * c + j, "2c+j", guard)
     _require_away_from_zero(2 * c + j + 1, "2c+j+1", guard)
-    up = WatsonPoint(a, b, c, i, j + 1)
-    base = WatsonPoint(a, b, c, i, j)
-    shifted = base.shift_abc(1)
-    for q, label in ((up, "f_{i,j+1}(a,b,c)"), (base, "f_{i,j}(a,b,c)"),
-                     (shifted, "f_{i,j}(a+1,b+1,c+1)")):
-        _require_convergent_or_terminating(q, ctx, label)
-    exact = _exact3(a, b, c)
-    if exact is not None:
+    f_up, f_base, f_shift = (
+        _convergent_or_terminating(q, ctx, label)
+        for q, label in ((WatsonPoint(a, b, c, i, j + 1), "f_{i,j+1}(a,b,c)"),
+                         (p, "f_{i,j}(a,b,c)"), (p.shift_abc(1), "f_{i,j}(a+1,b+1,c+1)")))
+    if (exact := _exact3(p)) is not None:
         ra, rb, rc = exact
         mult = 2 * rc + j
         coeff = Fraction(2) * ra * rb * rc / ((ra + rb + i + 1) * (2 * rc + j + 1))
@@ -204,12 +202,12 @@ def recurrence_residual(p: WatsonPoint, ctx: PrecisionCtx, tol=None,
                       / ((to_mpf_ambient(a) + to_mpf_ambient(b) + i + 1)
                          * (2 * to_mpf_ambient(c) + j + 1)))
             neg_coeff = -coeff
-    v_up = _point_value(up, ctx, tol)
-    v_base = _point_value(base, ctx, tol)
+    v_up = _point_value(f_up, ctx, tol)
+    v_base = _point_value(f_base, ctx, tol)
     if coeff == 0:
         v_shift = (Fraction(0) if exact is not None else mpf(0), Fraction(0), True, True)
     else:
-        v_shift = _point_value(shifted, ctx, tol)
+        v_shift = _point_value(f_shift, ctx, tol)
     all_exact = exact is not None and v_up[3] and v_base[3] and v_shift[3]
     converged = v_up[2] and v_base[2] and v_shift[2]
     lhs, rhs, bound = _combine_relation(
@@ -227,15 +225,14 @@ def _three_term(p: WatsonPoint, ctx: PrecisionCtx, tol, printed: bool,
     guard = ctx.pole_guard
     _require_away_from_zero(a + b + i + 1, "a+b+i+1", guard)
     _require_away_from_zero(2 * c + j, "2c+j", guard)
-    main = WatsonPoint(a, b, c, i, j)
     with mpmath.workprec(_carried_prec(a, b, c)):
         left_shift = WatsonPoint(a - 1, b, c, i + 1, j)
         cross = WatsonPoint(a, b + 1, c + 1, i + 1, j - 1)
-    for q, label in ((main, "f_{i,j}(a,b,c)"), (left_shift, "f_{i+1,j}(a-1,b,c)"),
-                     (cross, "f_{i+1,j-1}(a,b+1,c+1)")):
-        _require_convergent_or_terminating(q, ctx, label)
-    exact = _exact3(a, b, c)
-    if exact is not None:
+    f_main, f_left, f_cross = (
+        _convergent_or_terminating(q, ctx, label)
+        for q, label in ((p, "f_{i,j}(a,b,c)"), (left_shift, "f_{i+1,j}(a-1,b,c)"),
+                         (cross, "f_{i+1,j-1}(a,b+1,c+1)")))
+    if (exact := _exact3(p)) is not None:
         ra, rb, rc = exact
         denom = (ra + rb + i + 1) * (2 * rc + j)
         if printed:
@@ -254,12 +251,12 @@ def _three_term(p: WatsonPoint, ctx: PrecisionCtx, tol, printed: bool,
             else:
                 w2 = mpf(1)
                 coeff = +(2 * bm * cm / denom)
-    v_main = _point_value(main, ctx, tol)
-    v_left = _point_value(left_shift, ctx, tol)
+    v_main = _point_value(f_main, ctx, tol)
+    v_left = _point_value(f_left, ctx, tol)
     if coeff == 0:
         v_cross = (Fraction(0) if exact is not None else mpf(0), Fraction(0), True, True)
     else:
-        v_cross = _point_value(cross, ctx, tol)
+        v_cross = _point_value(f_cross, ctx, tol)
     all_exact = exact is not None and v_main[3] and v_left[3] and v_cross[3]
     converged = v_main[2] and v_left[2] and v_cross[2]
     lhs, rhs, bound = _combine_relation(
@@ -307,11 +304,9 @@ def reduce_to_watson(target: WatsonPoint, ctx: PrecisionCtx) -> ReductionPlan:
     if target.j < 0:
         raise UnsupportedIndex(f"reduction supports j >= 0 only, got j = {target.j}")
     a, b, c, j = target.a, target.b, target.c, target.j
-    base_margin = margin(WatsonPoint(a, b, c, 0, 0))
-    if float(to_mpf_ambient(base_margin)) <= 0:
-        raise PreconditionViolation(
-            f"base row margin {float(to_mpf_ambient(base_margin)):.4g} <= 0")
-    exact = _exact3(a, b, c)
+    if (s := float(to_mpf_ambient(margin(WatsonPoint(a, b, c, 0, 0))))) <= 0:
+        raise PreconditionViolation(f"base row margin {s:.4g} <= 0")
+    exact = _exact3(target)
 
     def shifted_coeff(jp, k):
         # weight picked up when f_{0,jp}(a+k,...) is rewritten one row down

@@ -5,13 +5,23 @@ Terms are always generated through the ratio recurrence
     t_{n+1} / t_n = prod_i (a_i + n) * z / ( prod_j (b_j + n) * (n + 1) ),
 
 never through quotients of factorials, so the work per term is O(1) and a zero
-numerator factor truncates the series exactly.  Exact sums fold the ratios
-backward in integers and build one Fraction (:func:`_exact_sum`); every
-floating-point route draws its terms from one generator, :func:`_terms`, which
-yields signed integer mantissas and exponents.  Each of its operations rounds
-once to nearest-even at the working precision in the same order as the mpf
-expression ``t * num / den * z``, so it yields the values of the operator form
-at a fraction of the interpreter overhead.
+numerator factor truncates the series exactly.
+
+What sets the route is decided once per series and pole guard by
+:func:`classify` and kept on the series: each parameter as an exact Fraction or
+an inexact mpf, the end m where a numerator equals -m, a float or mpf numerator
+that only comes within the guard of -m (refused, never cut off there), a
+denominator pole reached before m, whether the argument is 1, and the excess
+when every value is exact.  Each parameter meets
+:func:`~watsonlab.mpnum.nearest_nonpos_int` once: an exact one counts as a
+nonpositive integer only when it equals it, an inexact one within the guard.
+
+Exact sums fold the ratios backward in integers and build one Fraction
+(:func:`_exact_sum`); every floating-point route draws its terms from one
+generator, :func:`_terms`, which yields signed integer mantissas and exponents.
+Each of its operations rounds once to nearest-even at the working precision in
+the same order as the mpf expression ``t * num / den * z``, so it yields the
+values of the operator form at a fraction of the interpreter overhead.
 
 At unit argument the tail decays algebraically like n**-(1+s) where s is the
 parametric excess (sum of denominator parameters minus sum of numerator
@@ -48,10 +58,10 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Any, Optional, Tuple
+from typing import Optional, Tuple
 
 import mpmath
 from mpmath import mpf
@@ -105,6 +115,7 @@ class PFQ:
     numerators: Tuple
     denominators: Tuple
     argument: object = 1
+    _classified: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "numerators", tuple(self.numerators))
@@ -112,9 +123,84 @@ class PFQ:
         if len(self.numerators) > len(self.denominators) + 1:
             raise SeriesError("need p <= q + 1 numerator parameters")
 
-    def all_rational(self) -> bool:
-        vals = self.numerators + self.denominators + (self.argument,)
-        return all(as_rational(v) is not None for v in vals)
+
+@dataclass(frozen=True)
+class Classification:
+    """What sets a series' route at one pole guard (:func:`classify`).  near and
+    pole pair a parameter as given with the nonpositive integer k it counts as."""
+
+    nums: tuple                     # Fraction when exact (int, Fraction), else mpf
+    dens: tuple
+    z: object
+    unit: bool                      # the argument is 1
+    degree: Optional[int]           # least m with a numerator counting as -m
+    m: Optional[int]                # least m with a numerator equal to -m: the end
+    near: Optional[tuple]           # (numerator, k): counts as k, not equal; only if m is None
+    pole: Optional[tuple]           # (denominator, k): counts as k, reached before m
+    excess: Optional[Fraction]      # sum(dens) - sum(nums); None unless every value is exact
+
+
+def classify(f: PFQ, guard) -> Classification:
+    """f's classification at pole guard ``guard``, built on first use and kept on f."""
+    c = f._classified.get(guard)
+    if c is None:
+        c = f._classified[guard] = _classify(f, guard)
+    return c
+
+
+def _classify(f: PFQ, guard) -> Classification:
+    def kind(x):
+        r = as_rational(x)
+        return r if r is not None else to_mpf_ambient(x)
+
+    def pole(v):
+        return nearest_nonpos_int(v, 0 if isinstance(v, Fraction) else guard)
+
+    nums = tuple(map(kind, f.numerators))
+    dens = tuple(map(kind, f.denominators))
+    z = kind(f.argument)
+    hits = [(a, v, k) for a, v in zip(f.numerators, nums) if (k := pole(v)) is not None]
+    m = min((-k for _, v, k in hits if v == k), default=None)
+    near = next(((a, k) for a, v, k in hits if v != k), None) if m is None else None
+    den_pole = next(((d, k) for d, v in zip(f.denominators, dens)
+                     if (k := pole(v)) is not None and (m is None or -k < m)), None)
+    degree = min((-k for _, _, k in hits), default=None)
+    exact = all(isinstance(v, Fraction) for v in nums + dens + (z,))
+    excess = sum(dens, Fraction(0)) - sum(nums, Fraction(0)) if exact else None
+    return Classification(nums, dens, z, z == 1, degree, m, near, den_pole, excess)
+
+
+def _at_unit(f: PFQ, c: Classification) -> Classification:
+    if not c.unit:
+        raise ArgumentNotUnity(f"argument is {f.argument!r}, not 1")
+    return c
+
+
+def _end(c: Classification, guard) -> Optional[int]:
+    """c.m; SeriesError for a numerator that only nearly ends the series or a pole before m."""
+    if c.near is not None:
+        a, k = c.near
+        raise SeriesError(
+            f"numerator parameter {a} lies within {guard} of nonpositive integer "
+            f"{k} but is not equal to it, so the series does not terminate there")
+    if c.pole is not None:
+        d, k = c.pole
+        raise SeriesError(
+            f"denominator parameter {d} lies within {guard} of nonpositive "
+            f"integer {k} reached before the series terminates")
+    return c.m
+
+
+def _excess(c: Classification):
+    """The excess s: exact when every value is, else summed at the ambient precision."""
+    if c.excess is not None:
+        return c.excess
+    s = mpf(0)
+    for b in c.dens:
+        s += to_mpf_ambient(b)
+    for a in c.nums:
+        s -= to_mpf_ambient(a)
+    return s
 
 
 @dataclass(frozen=True)
@@ -134,116 +220,28 @@ def convergence_margin(f: PFQ):
 
     The series converges at z = 1 iff s > 0 or it terminates.
     """
-    if not _is_one(f.argument):
-        raise ArgumentNotUnity(f"argument is {f.argument!r}, not 1")
-    if f.all_rational():
-        s = Fraction(0)
-        for b in f.denominators:
-            s += as_rational(b)
-        for a in f.numerators:
-            s -= as_rational(a)
-        return s
-    s = mpf(0)
-    for b in f.denominators:
-        s += to_mpf_ambient(b)
-    for a in f.numerators:
-        s -= to_mpf_ambient(a)
-    return s
-
-
-def _is_one(z) -> bool:
-    r = as_rational(z)
-    if r is not None:
-        return r == 1
-    return to_mpf_ambient(z) == 1
+    return _excess(_at_unit(f, classify(f, 0)))
 
 
 def termination_degree(f: PFQ, pole_guard: float = 0.05) -> Optional[int]:
-    """Least m with some numerator within pole_guard of -m, or None.
-
-    When present the series is the finite sum over n = 0..m.  Exact (int or
-    Fraction) numerators terminate only at an exact nonpositive integer;
-    parameters that arrive as floats or mpf within the guard of a nonpositive
-    integer are treated as that integer.  Evaluation does not cut a series
-    off there: it ends a series by :func:`series_end`.
-    """
-    best = None
-    for a in f.numerators:
-        k = _near_pole(a, pole_guard)
-        if k is not None and (best is None or -k < best):
-            best = -k
-    return best
-
-
-def series_end(f: PFQ, pole_guard: float = 0.05) -> Tuple[Optional[int], Any]:
-    """(m, near): where the series ends, and a numerator that only nearly ends it.
-
-    m is the least m with a numerator equal to -m, or None; the series is
-    then the finite sum over n = 0..m whatever the other numerators are.
-    When no numerator ends it, near is a float or mpf numerator within
-    pole_guard of a nonpositive integer but not equal to it (else None):
-    termination_degree would read it as that integer and cut off a series
-    that does not end.
-    """
-    m = near = None
-    for a in f.numerators:
-        k = _near_pole(a, pole_guard)
-        if k is None:
-            continue
-        if _near_pole(a, 0) is not None:
-            m = -k if m is None else min(m, -k)
-        elif near is None:
-            near = a
-    return m, (near if m is None else None)
-
-
-def _termination(f: PFQ, guard) -> Optional[int]:
-    """series_end's m; SeriesError naming a numerator that only nearly ends the series."""
-    m, near = series_end(f, guard)
-    if near is not None:
-        raise SeriesError(
-            f"numerator parameter {near} lies within {guard} of nonpositive integer "
-            f"{_near_pole(near, guard)} but is not equal to it, so the series does not "
-            "terminate there"
-        )
-    return m
-
-
-def _near_pole(x, guard) -> Optional[int]:
-    """The nonpositive integer x counts as: exactly for int/Fraction, within guard otherwise."""
-    return nearest_nonpos_int(x, 0 if as_rational(x) is not None else guard)
-
-
-def _check_denominators(f: PFQ, degree: Optional[int], guard: float):
-    """Refuse a denominator factor b + n that vanishes before the series terminates.
-
-    As for termination, exact (int/Fraction) denominators count only at an
-    exact nonpositive integer; floats and mpf within guard of one count too.
-    """
-    for d in f.denominators:
-        k = _near_pole(d, guard)
-        if k is None:
-            continue
-        if degree is None or -k < degree:
-            raise SeriesError(
-                f"denominator parameter {d} lies within {guard} of nonpositive "
-                f"integer {k} reached before the series terminates"
-            )
+    """Least m with a numerator that counts as -m at pole_guard, or None; evaluation
+    ends a series only where a numerator equals -m (:class:`Classification`)."""
+    return classify(f, pole_guard).degree
 
 
 def eval_exact(f: PFQ) -> Fraction:
     """Exact rational sum of a terminating series with rational data. No rounding."""
-    if not f.all_rational():
+    c = classify(f, 0)
+    if c.excess is None:
         raise NonRationalInput("eval_exact needs rational parameters and argument")
-    m = termination_degree(f, pole_guard=0)
-    if m is None:
+    if c.m is None:
         raise NotTerminating("no numerator is a nonpositive integer")
-    _check_denominators(f, m, guard=0)
-    return _exact_sum(f, m)
+    _end(c, 0)
+    return _exact_sum(c)
 
 
-def _exact_sum(f: PFQ, m: int) -> Fraction:
-    """Sum of the terms n = 0..m of a series with rational data, exactly.
+def _exact_sum(c: Classification) -> Fraction:
+    """Sum of the terms n = 0..c.m of a series with rational data, exactly.
 
     With every parameter x = p/q, the ratio t_{n+1}/t_n is A_n / B_n for the
     integers A_n = z_p prod(p_a + n q_a) prod(q_b) and B_n = z_q (n + 1)
@@ -251,18 +249,16 @@ def _exact_sum(f: PFQ, m: int) -> Fraction:
     folded backward as h = P/Q <- 1 + (A_n / B_n) h in integers, and one
     Fraction is built at the end.
     """
-    z = as_rational(f.argument)
-    nums = [as_rational(a) for a in f.numerators]
-    dens = [as_rational(b) for b in f.denominators]
-    ca = z.numerator * math.prod(b.denominator for b in dens)
-    cb = z.denominator * math.prod(a.denominator for a in nums)
+    z = c.z
+    ca = z.numerator * math.prod(b.denominator for b in c.dens)
+    cb = z.denominator * math.prod(a.denominator for a in c.nums)
     P = Q = 1
-    for n in range(m - 1, -1, -1):
+    for n in range(c.m - 1, -1, -1):
         A = ca
-        for a in nums:
+        for a in c.nums:
             A *= a.numerator + n * a.denominator
         B = cb * (n + 1)
-        for b in dens:
+        for b in c.dens:
             B *= b.numerator + n * b.denominator
         Q *= B
         P = Q + A * P
@@ -419,19 +415,19 @@ def _round_to_ctx(ctx: PrecisionCtx, x) -> mpf:
         return +to_mpf_ambient(x)
 
 
-def _finite_sum_result(f: PFQ, ctx: PrecisionCtx, m: int) -> EvalResult:
-    if f.all_rational():
+def _finite_sum_result(c: Classification, ctx: PrecisionCtx) -> EvalResult:
+    m = c.m
+    if c.excess is not None:
         # rational data terminates only at an exact nonpositive integer,
         # so this is the exact value of the series
-        exact = _exact_sum(f, m)
+        exact = _exact_sum(c)
         value = ctx.mpf(exact)
         bound = abs(value) * mpf(10) ** (-ctx.digits) if value != 0 else mpf(0)
         return EvalResult(value, _round_to_ctx(ctx, bound), m + 1, "exact_rational",
                           True, exact_value=exact)
     with ctx.working(10):
         prec = mpmath.mp.prec
-        terms = _terms(_raw(f.numerators), _raw(f.denominators),
-                       to_mpf_ambient(f.argument)._mpf_, prec)
+        terms = _terms(_raw(c.nums), _raw(c.dens), to_mpf_ambient(c.z)._mpf_, prec)
         total = next(terms)
         for t in islice(terms, m):
             total = _add(*total, *t, prec)
@@ -448,27 +444,23 @@ def default_tolerance(ctx: PrecisionCtx) -> mpf:
 def eval_unit(f: PFQ, ctx: PrecisionCtx, tol=None, max_terms: Optional[int] = None) -> EvalResult:
     """Evaluate a pFq at z = 1.
 
-    Terminating series (:func:`series_end`) are summed exactly (rational
-    data) or term by term; when no numerator ends the series, a float or mpf
-    numerator within pole_guard of -m but not equal to it raises SeriesError
-    rather than cut the series off at m.  Convergent series go through
-    direct summation when the algebraic tail bound can reach tol inside the
+    A series that ends (:func:`classify`) is summed exactly (rational data)
+    or term by term; when no numerator ends it, a float or mpf numerator
+    within pole_guard of -m but not equal to it raises SeriesError rather
+    than cut the series off at m.  Convergent series go through direct
+    summation when the algebraic tail bound can reach tol inside the
     budget, otherwise through the accelerator.
     If tol is unreachable, the best estimate is returned with converged False
     and an honest bound.
     """
-    if not _is_one(f.argument):
-        raise ArgumentNotUnity(f"argument is {f.argument!r}, not 1")
+    c = _at_unit(f, classify(f, ctx.pole_guard))
     if tol is None:
         tol = default_tolerance(ctx)
     tol = ctx.mpf(tol)
-    m = _termination(f, ctx.pole_guard)
-    _check_denominators(f, m, ctx.pole_guard)
-    if m is not None:
-        return _finite_sum_result(f, ctx, m)
+    if _end(c, ctx.pole_guard) is not None:
+        return _finite_sum_result(c, ctx)
     with ctx.working(8):
-        s = convergence_margin(f)
-        s_mpf = to_mpf_ambient(s)
+        s_mpf = to_mpf_ambient(_excess(c))
     if s_mpf <= 0:
         raise DivergentSeries(f"parametric excess {s_mpf} <= 0 for non-terminating series")
     if s_mpf > 1:
@@ -485,24 +477,23 @@ def eval_general(f: PFQ, ctx: PrecisionCtx, tol=None, max_terms: Optional[int] =
 
     Termination is decided as in :func:`eval_unit`.
     """
+    c = classify(f, ctx.pole_guard)
     if tol is None:
         tol = default_tolerance(ctx)
     tol = ctx.mpf(tol)
-    m = _termination(f, ctx.pole_guard)
-    _check_denominators(f, m, ctx.pole_guard)
-    if m is not None:
-        return _finite_sum_result(f, ctx, m)
+    if _end(c, ctx.pole_guard) is not None:
+        return _finite_sum_result(c, ctx)
     with ctx.working(8):
-        z_abs = abs(to_mpf_ambient(f.argument))
+        z_abs = abs(to_mpf_ambient(c.z))
     if z_abs >= 1:
         raise OutsideRadius(f"|z| = {z_abs} >= 1 and the series does not terminate")
     if max_terms is None:
         max_terms = DIRECT_MAX_TERMS
     with ctx.working(10):
         prec = mpmath.mp.prec
-        nums = _raw(f.numerators)
-        dens = _raw(f.denominators)
-        z = to_mpf_ambient(f.argument)._mpf_
+        nums = _raw(c.nums)
+        dens = _raw(c.dens)
+        z = to_mpf_ambient(c.z)._mpf_
         q_floor = z_abs._mpf_
         rel_floor = (mpf(10) ** (-(ctx.digits + 4)))._mpf_
         tol_r = tol._mpf_

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from watsonlab.cli import main
 
@@ -48,6 +52,36 @@ def test_digits_floor_rejected(capsys):
     assert code == 2
     code, _, _ = run(capsys, "eval", "-a", "1", "-b", "1", "-c", "1", "--digits", "2000")
     assert code == 2
+
+
+# within 1e-7 or 1e-12 of 0..-5 on either side, or an ordinary value of modest size
+# (parameters near 1e12 make a single eval take seconds)
+_hostile_param = st.one_of(
+    st.builds(lambda k, off, sign: k + sign * off, st.integers(-5, 0),
+              st.sampled_from([Fraction(0), Fraction(1, 10 ** 7), Fraction(1, 10 ** 12)]),
+              st.sampled_from([1, -1])),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12))
+
+
+@given(command=st.sampled_from(["eval", "reduce"]), a=_hostile_param, b=_hostile_param,
+       c=st.one_of(_hostile_param, st.none()),
+       eps=st.sampled_from([Fraction(0), Fraction(1, 10 ** 9), Fraction(-1, 10 ** 9),
+                            Fraction(1, 10 ** 12), Fraction(-1, 10 ** 12)]),
+       i=st.one_of(st.just(0), st.integers(-6, 6)),         # reduce needs i = 0, j >= 0
+       j=st.one_of(st.integers(0, 4), st.integers(-4, 4)), digits=st.integers(15, 20),
+       guard=st.sampled_from(["0", "0.05", "0.4999"]))
+@settings(max_examples=300, deadline=None)
+def test_hostile_eval_and_reduce_end_cleanly(command, a, b, c, eps, i, j, digits, guard):
+    """Points at the pole guard's edge, margins near 0 and (i, j) in the grid and just
+    outside it end in an exit code, never a traceback.  With c drawn as None, c is set
+    so that the margin c + j + (i+1)/2 - (a+b)/2 is eps."""
+    if c is None:
+        c = (a + b) / 2 - j - Fraction(i + 1, 2) + eps
+    argv = [command, f"-a={a}", f"-b={b}", f"-c={c}", f"-i={i}", f"-j={j}",
+            "--digits", str(digits), "--pole-guard", guard]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
 
 
 @pytest.mark.parametrize("command", [["eval", "-a", "1", "-b", "1", "-c", "1"],

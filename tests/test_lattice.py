@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
+from watsonlab import lattice, mpnum, series
 from watsonlab.lattice import (DivergentPoint, PreconditionViolation,
                                UnsupportedIndex, WatsonPoint, eval_point,
                                margin, recurrence_residual, reduce_to_watson,
@@ -145,6 +146,33 @@ def test_recurrence_preconditions():
     with pytest.raises(PreconditionViolation):
         # a + b + i + 1 = 0
         recurrence_residual(WatsonPoint(Fraction(1), Fraction(1), Fraction(2), -3, 0), CTX)
+
+
+def _count_pole_tests(monkeypatch):
+    """A list that grows by one per nearest_nonpos_int call made through series or lattice."""
+    calls = []
+    for mod in (series, lattice):
+        for name, value in list(vars(mod).items()):
+            if value is mpnum.nearest_nonpos_int:
+                def counted(x, guard, _fn=value):
+                    calls.append(x)
+                    return _fn(x, guard)
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_each_parameter_is_pole_tested_once(monkeypatch):
+    ctx = PrecisionCtx(digits=30)
+    with ctx.working():
+        p = WatsonPoint(mpf("1.3"), mpf("0.7"), mpf("1.9"), 1, -1)
+    calls = _count_pole_tests(monkeypatch)
+    res = eval_unit(to_pfq(p), ctx)
+    assert res.converged and res.method == "accelerated"
+    assert len(calls) <= 5                  # three numerators, two denominators
+    del calls[:]
+    inst = recurrence_residual(p, ctx)
+    assert inst.converged
+    assert len(calls) <= 15                 # three points, each classified once
 
 
 def test_three_term_printed_counterexample():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import islice
@@ -11,7 +12,7 @@ from mpmath.libmp import (fone, fzero, from_int, from_man_exp, mpf_abs, mpf_add,
 
 from watsonlab import series, verify
 from watsonlab.lattice import WatsonPoint, to_pfq
-from watsonlab.mpnum import PrecisionCtx, to_mpf_ambient
+from watsonlab.mpnum import PrecisionCtx, as_rational, nearest_nonpos_int, to_mpf_ambient
 from watsonlab.series import (PFQ, ArgumentNotUnity, DivergentSeries, EvalResult,
                               NonRationalInput, NotTerminating, OutsideRadius,
                               SeriesError, _accelerated_unit, _direct_unit,
@@ -891,14 +892,10 @@ def _exact_cases():
 def test_exact_sum_equals_fraction_loop():
     checked = 0
     for f in _exact_cases():
-        m = termination_degree(f, pole_guard=0)
-        if m is None:
+        c = series.classify(f, 0)
+        if c.m is None or c.pole is not None:
             continue
-        try:
-            series._check_denominators(f, m, 0)
-        except SeriesError:
-            continue
-        assert series._exact_sum(f, m) == _frozen_exact_sum(f, m), f
+        assert series._exact_sum(c) == _frozen_exact_sum(f, c.m), f
         checked += 1
     assert checked > 1300
 
@@ -955,3 +952,145 @@ def test_levin_memo_stays_within_cap(monkeypatch):
                   _frozen_accelerated_unit(f, c, tol, 2000))
             assert small.size <= 600
     assert len(small._tables) <= 2
+
+
+# --- classification against frozen copies of the per-call helpers it replaced ---
+
+def _frozen_near_pole(x, guard):
+    return nearest_nonpos_int(x, 0 if as_rational(x) is not None else guard)
+
+
+def _frozen_all_rational(f):
+    vals = f.numerators + f.denominators + (f.argument,)
+    return all(as_rational(v) is not None for v in vals)
+
+
+def _frozen_is_one(z) -> bool:
+    r = as_rational(z)
+    if r is not None:
+        return r == 1
+    return to_mpf_ambient(z) == 1
+
+
+def _frozen_convergence_margin(f):
+    if not _frozen_is_one(f.argument):
+        raise ArgumentNotUnity(f"argument is {f.argument!r}, not 1")
+    if _frozen_all_rational(f):
+        s = Fraction(0)
+        for b in f.denominators:
+            s += as_rational(b)
+        for a in f.numerators:
+            s -= as_rational(a)
+        return s
+    s = mpf(0)
+    for b in f.denominators:
+        s += to_mpf_ambient(b)
+    for a in f.numerators:
+        s -= to_mpf_ambient(a)
+    return s
+
+
+def _frozen_termination_degree(f, pole_guard=0.05):
+    best = None
+    for a in f.numerators:
+        k = _frozen_near_pole(a, pole_guard)
+        if k is not None and (best is None or -k < best):
+            best = -k
+    return best
+
+
+def _frozen_series_end(f, pole_guard=0.05):
+    m = near = None
+    for a in f.numerators:
+        k = _frozen_near_pole(a, pole_guard)
+        if k is None:
+            continue
+        if _frozen_near_pole(a, 0) is not None:
+            m = -k if m is None else min(m, -k)
+        elif near is None:
+            near = a
+    return m, (near if m is None else None)
+
+
+def _frozen_termination(f, guard):
+    m, near = _frozen_series_end(f, guard)
+    if near is not None:
+        raise SeriesError(
+            f"numerator parameter {near} lies within {guard} of nonpositive integer "
+            f"{_frozen_near_pole(near, guard)} but is not equal to it, so the series does not "
+            "terminate there"
+        )
+    return m
+
+
+def _frozen_check_denominators(f, degree, guard):
+    for d in f.denominators:
+        k = _frozen_near_pole(d, guard)
+        if k is None:
+            continue
+        if degree is None or -k < degree:
+            raise SeriesError(
+                f"denominator parameter {d} lies within {guard} of nonpositive "
+                f"integer {k} reached before the series terminates"
+            )
+
+
+def _outcome(fn, *args):
+    """(type, value) of fn's return, or (exception type, message) when it raises."""
+    try:
+        v = fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return type(v), v
+
+
+def _classification_sweep(guard, rng):
+    """Parameters at 0..-5 as int, Fraction, float and mpf: on the integer, 1e-12
+    away, and one ulp inside and outside the guard, each on both sides."""
+    pool = []
+    ulp = mpf(2) ** -100
+    for k in range(0, -6, -1):
+        pool += [k, Fraction(k), float(k), mpf(k)]
+        for sign in (1, -1):
+            pool += [Fraction(k) + sign * Fraction(1, 10 ** 12), k + sign * 1e-12,
+                     mpf(k) + sign * mpf("1e-12")]
+            edge = Fraction(guard)
+            pool += [Fraction(k) + sign * (edge - Fraction(1, 10 ** 30)),
+                     Fraction(k) + sign * (edge + Fraction(1, 10 ** 30))]
+            x = k + sign * guard
+            pool += [math.nextafter(x, k), math.nextafter(x, k + sign)]
+            with mpmath.workprec(120):
+                pool += [mpf(k) + sign * (mpf(guard) - ulp), mpf(k) + sign * (mpf(guard) + ulp)]
+    pool += [Fraction(3, 2), 2, 0.75, mpf("1.3"), Fraction(-7, 2)]
+    args = [1, Fraction(1), 1.0, mpf(1), Fraction(1, 2), mpf("0.5")]
+    for _ in range(1500):
+        nums = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        dens = [rng.choice(pool) for _ in range(rng.randint(max(0, len(nums) - 1), 2))]
+        yield F3(nums, dens, rng.choice(args))
+
+
+@pytest.mark.parametrize("guard", [0, 0.05, 0.4999])
+def test_classification_matches_frozen_helpers(guard):
+    rng = random.Random(1400 + int(guard * 10_000))
+    seen = set()
+    for f in _classification_sweep(guard, rng):
+        m, near = _frozen_series_end(f, guard)
+        c = series.classify(f, guard)
+        assert c.m == m, f
+        assert (c.near[0] if c.near else None) is near, f
+
+        def frozen_end():
+            mm = _frozen_termination(f, guard)
+            _frozen_check_denominators(f, mm, guard)
+            return mm
+
+        end = _outcome(frozen_end)
+        assert _outcome(series._end, c, guard) == end, f
+        assert termination_degree(f, guard) == _frozen_termination_degree(f, guard), f
+        assert _outcome(convergence_margin, f) == _outcome(_frozen_convergence_margin, f), f
+        seen.add((m is not None, near is not None, end[0] is SeriesError))
+    # every branch is met: ends, refused by a numerator (not at guard 0, where an
+    # inexact value within the guard equals the integer) or a denominator, neither
+    branches = {(True, False, False), (True, False, True), (False, False, False),
+                (False, False, True)}
+    assert seen == (branches if guard == 0 else branches | {(False, True, True)})
