@@ -131,10 +131,11 @@ def _convergent_or_terminating(p: WatsonPoint, ctx: PrecisionCtx, label: str) ->
     inexact margin is margin(p), formed at the precision p's mantissas carry."""
     f = to_pfq(p)
     c = classify(f, ctx.pole_guard)
-    if c.m is None and (s := float(to_mpf_ambient(
-            margin(p) if c.excess is None else c.excess))) <= 0:
-        raise PreconditionViolation(
-            f"{label} at (i={p.i}, j={p.j}) has margin {s:.4g} <= 0 and does not terminate")
+    if c.m is None:
+        s = float(to_mpf_ambient(margin(p) if c.excess is None else c.excess))
+        if s <= 0:
+            raise PreconditionViolation(
+                f"{label} at (i={p.i}, j={p.j}) has margin {s:.4g} <= 0 and does not terminate")
     return f
 
 
@@ -304,7 +305,8 @@ def reduce_to_watson(target: WatsonPoint, ctx: PrecisionCtx) -> ReductionPlan:
     if target.j < 0:
         raise UnsupportedIndex(f"reduction supports j >= 0 only, got j = {target.j}")
     a, b, c, j = target.a, target.b, target.c, target.j
-    if (s := float(to_mpf_ambient(margin(WatsonPoint(a, b, c, 0, 0))))) <= 0:
+    s = float(to_mpf_ambient(margin(WatsonPoint(a, b, c, 0, 0))))
+    if s <= 0:
         raise PreconditionViolation(f"base row margin {s:.4g} <= 0")
     exact = _exact3(target)
 
