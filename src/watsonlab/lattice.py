@@ -10,6 +10,9 @@ three linear relations the verify layer adjudicates:
   * a corrected three-term candidate derived by the same telescoping step
     used for the main recurrence, via (a)_n - (a-1)_n = n (a)_{n-1}.
 
+Each is w0 f(q0) = w1 f(q1) + w2 f(q2) over three lattice points; one evaluator,
+:func:`_linear_relation`, takes each relation's zero factors, points and weights.
+
 Adjudication never trusts closed forms: residuals are built from series (or
 exact rational) evaluation only.
 """
@@ -140,7 +143,8 @@ def _convergent_or_terminating(p: WatsonPoint, ctx: PrecisionCtx, label: str) ->
 
 
 def _require_away_from_zero(value, name, guard):
-    if abs(v := float(to_mpf_ambient(value))) < guard:
+    v = float(to_mpf_ambient(value))
+    if value == 0 or abs(v) < guard:
         raise PreconditionViolation(f"factor {name} = {v:.4g} is within {guard} of 0")
 
 
@@ -149,26 +153,52 @@ def _exact3(p: WatsonPoint):
     return (ra, rb, rc) if None not in (ra, rb, rc) else None
 
 
-def _combine_relation(ctx, lhs_terms, rhs_terms, exact_ok):
-    """Accumulate weighted sides; (weight, value, bound) triples per side."""
-    if exact_ok:
-        lhs = sum((w * v for w, v, _ in lhs_terms), Fraction(0))
-        rhs = sum((w * v for w, v, _ in rhs_terms), Fraction(0))
-        return lhs, rhs, Fraction(0)
+def _on_params(p: WatsonPoint, ctx: PrecisionCtx, fn):
+    """fn(a, b, c) on p's exact triple, or else on its mpf values inside
+    ctx.working(8); even unary minus re-rounds an mpf at the ambient
+    precision, so every op of fn stays inside that block."""
+    if (exact := _exact3(p)) is not None:
+        return fn(*exact)
     with ctx.working(8):
-        lhs = mpf(0)
-        rhs = mpf(0)
-        bound = mpf(0)
-        for w, v, bnd in lhs_terms:
-            wv = to_mpf_ambient(w)
-            lhs += wv * to_mpf_ambient(v)
-            bound += abs(wv) * to_mpf_ambient(bnd)
-        for w, v, bnd in rhs_terms:
-            wv = to_mpf_ambient(w)
-            rhs += wv * to_mpf_ambient(v)
-            bound += abs(wv) * to_mpf_ambient(bnd)
-        bound += (abs(lhs) + abs(rhs)) * mpf(10) ** (-(ctx.digits + 2))
-        return +lhs, +rhs, +bound
+        return fn(*map(to_mpf_ambient, (p.a, p.b, p.c)))
+
+
+def _linear_relation(relation_id: str, p: WatsonPoint, ctx: PrecisionCtx, tol,
+                     factors, points, weights) -> RelationInstance:
+    """The instance of w0 f(q0) = w1 f(q1) + w2 f(q2) at p.
+
+    factors are the (name, value) pairs that must stay away from 0, points the
+    (q, label) pairs q0, q1, q2, and weights(a, b, c) gives (w0, w1, w2) at p's
+    parameters.  q2 is not evaluated when w2 is 0.  The sides are Fractions
+    only when p is exact and every evaluated value is exact.
+    """
+    for name, value in factors:
+        _require_away_from_zero(value, name, ctx.pole_guard)
+    series = [_convergent_or_terminating(q, ctx, label) for q, label in points]
+    ws = _on_params(p, ctx, weights)
+    if ws[2] == 0:
+        series.pop()
+    values = [_point_value(f, ctx, tol) for f in series]
+    exact = _exact3(p) is not None and all(v[3] for v in values)
+    converged = all(v[2] for v in values)
+    terms = zip((0, 1, 1), ws, values)
+    if exact:
+        sides = [Fraction(0), Fraction(0)]
+        for side, w, (v, _, _, _) in terms:
+            sides[side] += w * v
+        lhs, rhs, bound = sides[0], sides[1], Fraction(0)
+    else:
+        with ctx.working(8):
+            sides = [mpf(0), mpf(0)]
+            bound = mpf(0)
+            for side, w, (v, bnd, _, _) in terms:
+                wv = to_mpf_ambient(w)
+                sides[side] += wv * to_mpf_ambient(v)
+                bound += abs(wv) * to_mpf_ambient(bnd)
+            bound += (abs(sides[0]) + abs(sides[1])) * mpf(10) ** (-(ctx.digits + 2))
+            lhs, rhs, bound = +sides[0], +sides[1], +bound
+    return finish_instance(relation_id, p.params(), (p.i, p.j), ctx, lhs, rhs, bound,
+                           converged, exact)
 
 
 def recurrence_residual(p: WatsonPoint, ctx: PrecisionCtx, tol=None,
@@ -181,92 +211,24 @@ def recurrence_residual(p: WatsonPoint, ctx: PrecisionCtx, tol=None,
     Both sides are produced by series (or exact rational) evaluation.
     """
     a, b, c, i, j = p.a, p.b, p.c, p.i, p.j
-    guard = ctx.pole_guard
-    _require_away_from_zero(a + b + i + 1, "a+b+i+1", guard)
-    _require_away_from_zero(2 * c + j, "2c+j", guard)
-    _require_away_from_zero(2 * c + j + 1, "2c+j+1", guard)
-    f_up, f_base, f_shift = (
-        _convergent_or_terminating(q, ctx, label)
-        for q, label in ((WatsonPoint(a, b, c, i, j + 1), "f_{i,j+1}(a,b,c)"),
-                         (p, "f_{i,j}(a,b,c)"), (p.shift_abc(1), "f_{i,j}(a+1,b+1,c+1)")))
-    if (exact := _exact3(p)) is not None:
-        ra, rb, rc = exact
-        mult = 2 * rc + j
-        coeff = Fraction(2) * ra * rb * rc / ((ra + rb + i + 1) * (2 * rc + j + 1))
-        neg_coeff = -coeff
-    else:
-        # even unary minus re-rounds an mpf at the ambient precision, so every
-        # coefficient op stays inside the guarded block
-        with ctx.working(8):
-            mult = to_mpf_ambient(2 * to_mpf_ambient(c) + j)
-            coeff = +(2 * to_mpf_ambient(a) * to_mpf_ambient(b) * to_mpf_ambient(c)
-                      / ((to_mpf_ambient(a) + to_mpf_ambient(b) + i + 1)
-                         * (2 * to_mpf_ambient(c) + j + 1)))
-            neg_coeff = -coeff
-    v_up = _point_value(f_up, ctx, tol)
-    v_base = _point_value(f_base, ctx, tol)
-    if coeff == 0:
-        v_shift = (Fraction(0) if exact is not None else mpf(0), Fraction(0), True, True)
-    else:
-        v_shift = _point_value(f_shift, ctx, tol)
-    all_exact = exact is not None and v_up[3] and v_base[3] and v_shift[3]
-    converged = v_up[2] and v_base[2] and v_shift[2]
-    lhs, rhs, bound = _combine_relation(
-        ctx,
-        [(mult, v_up[0], v_up[1])],
-        [(mult, v_base[0], v_base[1]), (neg_coeff, v_shift[0], v_shift[1])],
-        all_exact)
-    return finish_instance(relation_id, p.params(), (p.i, p.j), ctx, lhs, rhs, bound,
-                           converged, all_exact)
+    return _linear_relation(
+        relation_id, p, ctx, tol,
+        (("a+b+i+1", a + b + i + 1), ("2c+j", 2 * c + j), ("2c+j+1", 2 * c + j + 1)),
+        ((WatsonPoint(a, b, c, i, j + 1), "f_{i,j+1}(a,b,c)"), (p, "f_{i,j}(a,b,c)"),
+         (p.shift_abc(1), "f_{i,j}(a+1,b+1,c+1)")),
+        lambda a, b, c: (2 * c + j, 2 * c + j,
+                         -(2 * a * b * c / ((a + b + i + 1) * (2 * c + j + 1)))))
 
 
-def _three_term(p: WatsonPoint, ctx: PrecisionCtx, tol, printed: bool,
-                relation_id: str) -> RelationInstance:
+def _three_term_points(p: WatsonPoint):
+    """Zero factors and points of the cross-lattice three-term relation."""
     a, b, c, i, j = p.a, p.b, p.c, p.i, p.j
-    guard = ctx.pole_guard
-    _require_away_from_zero(a + b + i + 1, "a+b+i+1", guard)
-    _require_away_from_zero(2 * c + j, "2c+j", guard)
     with mpmath.workprec(_carried_prec(a, b, c)):
         left_shift = WatsonPoint(a - 1, b, c, i + 1, j)
         cross = WatsonPoint(a, b + 1, c + 1, i + 1, j - 1)
-    f_main, f_left, f_cross = (
-        _convergent_or_terminating(q, ctx, label)
-        for q, label in ((p, "f_{i,j}(a,b,c)"), (left_shift, "f_{i+1,j}(a-1,b,c)"),
-                         (cross, "f_{i+1,j-1}(a,b+1,c+1)")))
-    if (exact := _exact3(p)) is not None:
-        ra, rb, rc = exact
-        denom = (ra + rb + i + 1) * (2 * rc + j)
-        if printed:
-            w2 = 2 * rc + j
-            coeff = Fraction(-2) * ra * rb / denom
-        else:
-            w2 = Fraction(1)
-            coeff = Fraction(2) * rb * rc / denom
-    else:
-        with ctx.working(8):
-            am, bm, cm = to_mpf_ambient(a), to_mpf_ambient(b), to_mpf_ambient(c)
-            denom = (am + bm + i + 1) * (2 * cm + j)
-            if printed:
-                w2 = +(2 * cm + j)
-                coeff = +(-2 * am * bm / denom)
-            else:
-                w2 = mpf(1)
-                coeff = +(2 * bm * cm / denom)
-    v_main = _point_value(f_main, ctx, tol)
-    v_left = _point_value(f_left, ctx, tol)
-    if coeff == 0:
-        v_cross = (Fraction(0) if exact is not None else mpf(0), Fraction(0), True, True)
-    else:
-        v_cross = _point_value(f_cross, ctx, tol)
-    all_exact = exact is not None and v_main[3] and v_left[3] and v_cross[3]
-    converged = v_main[2] and v_left[2] and v_cross[2]
-    lhs, rhs, bound = _combine_relation(
-        ctx,
-        [(1, v_main[0], v_main[1])],
-        [(w2, v_left[0], v_left[1]), (coeff, v_cross[0], v_cross[1])],
-        all_exact)
-    return finish_instance(relation_id, p.params(), (p.i, p.j), ctx, lhs, rhs, bound,
-                           converged, all_exact)
+    return ((("a+b+i+1", a + b + i + 1), ("2c+j", 2 * c + j)),
+            ((p, "f_{i,j}(a,b,c)"), (left_shift, "f_{i+1,j}(a-1,b,c)"),
+             (cross, "f_{i+1,j-1}(a,b+1,c+1)")))
 
 
 def three_term_printed(p: WatsonPoint, ctx: PrecisionCtx, tol=None) -> RelationInstance:
@@ -275,7 +237,10 @@ def three_term_printed(p: WatsonPoint, ctx: PrecisionCtx, tol=None) -> RelationI
         f_{i,j}(a,b,c) = (2c+j) f_{i+1,j}(a-1,b,c)
                          - 2ab / ((a+b+i+1)(2c+j)) f_{i+1,j-1}(a,b+1,c+1)
     """
-    return _three_term(p, ctx, tol, printed=True, relation_id="three_term_printed")
+    i, j = p.i, p.j
+    return _linear_relation(
+        "three_term_printed", p, ctx, tol, *_three_term_points(p),
+        lambda a, b, c: (1, 2 * c + j, -2 * a * b / ((a + b + i + 1) * (2 * c + j))))
 
 
 def three_term_corrected(p: WatsonPoint, ctx: PrecisionCtx, tol=None) -> RelationInstance:
@@ -289,7 +254,10 @@ def three_term_corrected(p: WatsonPoint, ctx: PrecisionCtx, tol=None) -> Relatio
     telescopes into the (i+1, j-1) series at (a, b+1, c+1) with the weight
     above.
     """
-    return _three_term(p, ctx, tol, printed=False, relation_id="three_term_corrected")
+    i, j = p.i, p.j
+    return _linear_relation(
+        "three_term_corrected", p, ctx, tol, *_three_term_points(p),
+        lambda a, b, c: (1, 1, 2 * b * c / ((a + b + i + 1) * (2 * c + j))))
 
 
 def reduce_to_watson(target: WatsonPoint, ctx: PrecisionCtx) -> ReductionPlan:
@@ -312,21 +280,13 @@ def reduce_to_watson(target: WatsonPoint, ctx: PrecisionCtx) -> ReductionPlan:
 
     def shifted_coeff(jp, k):
         # weight picked up when f_{0,jp}(a+k,...) is rewritten one row down
-        if exact is not None:
-            ra, rb, rc = exact
-            ak, bk, ck = ra + k, rb + k, rc + k
+        def coeff(a, b, c):
+            ak, bk, ck = a + k, b + k, c + k
             den = (ak + bk + 1) * (2 * ck + jp) * (2 * ck + jp - 1)
             if den == 0:
                 raise PreconditionViolation(f"vanishing recurrence factor at shift {k}")
-            return Fraction(-2) * ak * bk * ck / den
-        with ctx.working(8):
-            ak = to_mpf_ambient(a) + k
-            bk = to_mpf_ambient(b) + k
-            ck = to_mpf_ambient(c) + k
-            den = (ak + bk + 1) * (2 * ck + jp) * (2 * ck + jp - 1)
-            if den == 0:
-                raise PreconditionViolation(f"vanishing recurrence factor at shift {k}")
-            return +(-2 * ak * bk * ck / den)
+            return -2 * ak * bk * ck / den
+        return _on_params(target, ctx, coeff)
 
     weights = {0: Fraction(1) if exact is not None else mpf(1)}
     with ctx.working(8):

@@ -33,9 +33,9 @@ Before the mp loop of direct summation starts, a float rehearsal of its first
 every float rounding, that the loop would give up at its first projection
 (n = 64); only then is the loop skipped, so every result is the loop's.
 
-The Levin weights depend only on (order k, index n, beta, working precision),
-never on the series, so they are memoised in :class:`_LevinCoefficients`: one
-list per (k, beta, precision), filled lazily on first use and holding exactly
+The Levin weights depend only on (order k, index n, working precision), never
+on the series, so they are memoised in :class:`_LevinCoefficients`: one list
+per (k, precision), filled lazily on first use and holding exactly
 the values :func:`_levin_coeff` rounds.  The memo holds at most
 ``_LEVIN_MEMO_CAP`` coefficients in all; the oldest precision is evicted to make
 room, and a row that cannot fit even then is computed without being stored.
@@ -673,21 +673,21 @@ def _direct_sum(f: PFQ, ctx: PrecisionCtx, tol, max_terms: int, s) -> Optional[E
                       "direct", True)
 
 
-def _levin_coeff(k: int, n: int, beta: int, prec: int) -> tuple:
-    """(beta+n) (beta+n+k-1)^(k-2) / (beta+n+k)^(k-1) as a raw mpf at prec.
+def _levin_coeff(k: int, n: int, prec: int) -> tuple:
+    """(n+1) (n+k)^(k-2) / (n+k+1)^(k-1) as a raw mpf at prec (Levin u, beta = 1).
 
     Numerator and denominator are exact integers, each rounded to prec before
     the rounded division, as ``mpf(p) / mpf(q)`` does.
     """
     if k == 1:
         return fone
-    p = (beta + n) * (beta + n + k - 1) ** (k - 2)
-    q = (beta + n + k) ** (k - 1)
+    p = (n + 1) * (n + k) ** (k - 2)
+    q = (n + k + 1) ** (k - 1)
     return mpf_div(from_int(p, prec, _RND), from_int(q, prec, _RND), prec, _RND)
 
 
 class _LevinCoefficients:
-    """Lazily filled memo of Levin coefficients, one list over n per (k, beta, prec).
+    """Lazily filled memo of Levin coefficients, one list over n per (k, prec).
 
     At most ``cap`` coefficients are held.  Room is made by evicting whole
     precisions, oldest first; a row that would not fit even alone with its own
@@ -698,38 +698,37 @@ class _LevinCoefficients:
     def __init__(self, cap: int):
         self.cap = cap
         self.size = 0
-        self._tables = {}      # (beta, prec) -> {k: [coefficient for n = 0, 1, ...]}
-        self._sizes = {}       # (beta, prec) -> coefficients held for it
+        self._tables = {}      # prec -> {k: [coefficient for n = 0, 1, ...]}
+        self._sizes = {}       # prec -> coefficients held for it
         self._lock = threading.Lock()
 
-    def row(self, k: int, beta: int, prec: int, length: int) -> list:
+    def row(self, k: int, prec: int, length: int) -> list:
         """Coefficients for n = 0 .. length-1 (at least) at order k."""
-        table = self._tables.get((beta, prec))
+        table = self._tables.get(prec)
         row = table.get(k) if table is not None else None
         if row is not None and len(row) >= length:
             return row
         with self._lock:
-            return self._fill(k, beta, prec, length)
+            return self._fill(k, prec, length)
 
-    def _fill(self, k, beta, prec, length) -> list:
-        key = (beta, prec)
-        table = self._tables.get(key, {})
+    def _fill(self, k, prec, length) -> list:
+        table = self._tables.get(prec, {})
         old = table.get(k, [])
         if len(old) >= length:
             return old
-        row = old + [_levin_coeff(k, n, beta, prec) for n in range(len(old), length)]
+        row = old + [_levin_coeff(k, n, prec) for n in range(len(old), length)]
         extra = len(row) - len(old)
-        if self._sizes.get(key, 0) + extra > self.cap:
+        if self._sizes.get(prec, 0) + extra > self.cap:
             return row
         for other in list(self._tables):
             if self.size + extra <= self.cap:
                 break
-            if other != key:
+            if other != prec:
                 del self._tables[other]
                 self.size -= self._sizes.pop(other)
         table[k] = row
-        self._tables[key] = table
-        self._sizes[key] = self._sizes.get(key, 0) + extra
+        self._tables[prec] = table
+        self._sizes[prec] = self._sizes.get(prec, 0) + extra
         self.size += extra
         return row
 
@@ -831,8 +830,8 @@ def _levin_climb(nm: list, ne: list, dm: list, de: list, rows: list, prec: int):
         dm[n], de[n] = d1, de1
 
 
-def _levin_scan(terms, M: int, tol, beta: int = 1):
-    """Levin u-type extrapolation over the partial sums of ``terms``.
+def _levin_scan(terms, M: int, tol):
+    """Levin u-type extrapolation (beta = 1) over the partial sums of ``terms``.
 
     The estimate at order k is trusted by the spread of the last two orders,
     bound = 2 (|e_k - e_{k-1}| + |e_{k-1} - e_{k-2}|); the returned order
@@ -853,7 +852,7 @@ def _levin_scan(terms, M: int, tol, beta: int = 1):
     Everything runs on signed integer mantissas and exponents, each value
     rounded once to nearest-even at the ambient precision as the libmp
     expression it replaces: the partial sum S_K = S_{K-1} + t_K
-    (:func:`_add`), the weight w = t_K (beta + K) (:func:`_round` of the
+    (:func:`_add`), the weight w = t_K (K + 1) (:func:`_round` of the
     exact product), N_0[K] = S_K / w and D_0[K] = 1 / w (:func:`_div`), the
     estimate N_K[0] / D_K[0], the gap |e_k - e_{k-1}|, its test against
     tol/4 (:func:`_le`, exact), and the sums g_k + g_{k-1} that pick the
@@ -873,7 +872,7 @@ def _levin_scan(terms, M: int, tol, beta: int = 1):
     qm, qe = _signed((tol / 4)._mpf_)
     for k, (tm, te) in enumerate(terms):
         am, ae = _add(am, ae, tm, te, prec)
-        wm, we = _round(tm * (beta + k), te, prec)
+        wm, we = _round(tm * (k + 1), te, prec)
         x = _div(am, ae, wm, we, prec)
         Nm.append(x[0])
         Ne.append(x[1])
@@ -882,7 +881,7 @@ def _levin_scan(terms, M: int, tol, beta: int = 1):
         De.append(x[1])
         if not k:
             continue
-        rows.append(_LEVIN_COEFFS.row(k, beta, prec, M - k))
+        rows.append(_LEVIN_COEFFS.row(k, prec, M - k))
         _levin_climb(Nm, Ne, Dm, De, rows, prec)
         est = _div(Nm[0], Ne[0], Dm[0], De[0], prec) if Dm[0] else None
         ests.append(est)

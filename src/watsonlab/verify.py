@@ -676,7 +676,10 @@ def _evaluate_task(relation_id: str, kind: str, sample, seed: int,
     here, probes and grid points arrive as their sample dicts."""
     rel = RELATIONS[relation_id]
     if kind == "sample":
-        sample = rel.build_sample(sample, seed, ctx, window)
+        try:
+            sample = rel.build_sample(sample, seed, ctx, window)
+        except SamplingExhausted as exc:
+            return replace(_failed_instance(relation_id, {}, None, str(exc)), kind=kind)
     inst = rel.evaluate(sample, ctx, adjudication_tol(ctx))
     return replace(inst, kind=kind)
 

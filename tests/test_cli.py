@@ -98,6 +98,20 @@ def test_pole_guard_out_of_range_rejected(capsys, command, guard):
     assert err.startswith("error: pole_guard must lie in [0, 0.5)")
 
 
+# guard 0 lets an exact probe reach a factor a+b+i+1 that is exactly 0; guard
+# 0.4999 leaves no admissible triple for recurrence_16's sample 69
+@pytest.mark.parametrize("relation, guard, samples", [
+    ("case_m1_0", "0", "1"), ("case_m2_0", "0", "1"), ("case_0_m1", "0", "1"),
+    ("case_m1_m2", "0", "1"), ("recurrence_16", "0.4999", "70")])
+def test_check_at_the_pole_guard_edges_ends_cleanly(capsys, relation, guard, samples):
+    code, out, _ = run(capsys, "check", relation, "--pole-guard", guard, "--samples", samples,
+                       "--digits", "15", "--threads", "1", "--output", "json")
+    assert code in (0, 1, 3)
+    if relation == "recurrence_16":
+        failed = [s for s in json.loads(out)["samples"] if s["note"].startswith("no admissible")]
+        assert [(s["kind"], s["converged"]) for s in failed] == [("sample", False)]
+
+
 def test_check_unknown_relation(capsys):
     code, _, err = run(capsys, "check", "nosuch")
     assert code == 2

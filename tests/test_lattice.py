@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
@@ -289,3 +291,80 @@ def test_point_symmetric_in_a_b():
             ra = eval_point(p, CTX, tol=mpf(10) ** -20, use_closed_forms=False)
             rb = eval_point(q, CTX, tol=mpf(10) ** -20, use_closed_forms=False)
             assert abs(ra.value - rb.value) <= ra.abs_err_bound + rb.abs_err_bound
+
+
+def _raw(x):
+    """Every bit of a value as plain data: mpf mantissas, Fraction parts, flags."""
+    if isinstance(x, mpf):
+        return ("mpf", x._mpf_)
+    if isinstance(x, Fraction):
+        return ("Q", x.numerator, x.denominator)
+    if isinstance(x, float):
+        return ("f", x.hex())
+    if isinstance(x, (tuple, list)):
+        return tuple(_raw(v) for v in x)
+    if isinstance(x, dict):
+        return tuple((k, _raw(v)) for k, v in x.items())
+    if dataclasses.is_dataclass(x):
+        return (type(x).__name__,) + tuple(
+            (f.name, _raw(getattr(x, f.name))) for f in dataclasses.fields(x) if f.compare)
+    return (type(x).__name__, x)
+
+
+def _outcome(fn, *args):
+    try:
+        return _raw(fn(*args))
+    except Exception as exc:            # the exception's type and text are the result
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def _digest_points(rng, ctx):
+    """A seeded sweep over the point kinds the relations treat apart."""
+    pts = []
+    with ctx.working():
+        for _ in range(3):
+            i, j = rng.choice([(0, 0), (1, 0), (0, 1), (2, -1), (-1, 1)])
+            a, b, s = rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0), rng.uniform(0.75, 2.0)
+            c = s - j - (i + 1) / 2 + (a + b) / 2
+            pts.append(WatsonPoint(a, b, c, i, j))                                # float
+            pts.append(WatsonPoint(mpf(a), mpf(b), mpf(c), i, j))                 # mpf
+            fa = Fraction(rng.randint(1, 30), rng.randint(1, 12))
+            pts.append(WatsonPoint(fa, mpf(b), mpf(c) + fa, i, j))                # mixed
+            fb = Fraction(rng.randint(1, 30), rng.randint(1, 12))
+            fc = Fraction(3, 2) - j - Fraction(i + 1, 2) + (fa + fb) / 2
+            pts.append(WatsonPoint(fa, fb, fc, i, j))                             # exact, series
+            pts.append(WatsonPoint(Fraction(-rng.randint(1, 3)), fb, fc, i, j))   # terminating
+        pts += [
+            WatsonPoint(Fraction(0), Fraction(3, 2), Fraction(5, 4), 0, 0),   # zero weights
+            WatsonPoint(Fraction(7, 5), Fraction(0), Fraction(9, 4), 1, 0),
+            WatsonPoint(mpf(0), mpf("1.5"), mpf("1.25"), 0, 1),
+            WatsonPoint(mpf("0.8"), mpf(0), mpf("1.7"), 0, 1),
+            WatsonPoint(mpf("1.3"), mpf("-2.29"), mpf(2), 0, 0),             # a+b+i+1 in the guard
+            WatsonPoint(Fraction(1), Fraction(1), Fraction(1, 2), 0, -1),     # 2c+j = 0
+            WatsonPoint(mpf("1.2"), mpf("0.9"), mpf("-0.49"), 0, 1),          # 2c+j in the guard
+            WatsonPoint(mpf("2.5"), mpf("2.5"), mpf("1.2"), 0, 0),            # margin <= 0
+            WatsonPoint(Fraction(5, 2), Fraction(5, 2), Fraction(6, 5), 0, 0),
+            WatsonPoint(Fraction(2), Fraction(2), Fraction(1), 0, 1),         # margin 1/2, j-1 = 0
+        ]
+    return pts
+
+
+# SHA-256 of every output of the sweep below, as the relations gave it before
+# they shared one evaluator; any change in a bit of any output moves it.
+RELATIONS_DIGEST = "7d167e218b74476caaf63bf22fe9cfb18895c9a457f1e6b292453b09a622119b"
+
+
+def test_relations_match_parent_digest():
+    rng = random.Random(20261019)
+    out = []
+    for digits in (15, 20):
+        ctx = PrecisionCtx(digits=digits)
+        for p in _digest_points(rng, ctx):
+            out.append(_outcome(to_pfq, p))
+            out.append(_outcome(margin, p))
+            for fn in (recurrence_residual, three_term_printed, three_term_corrected):
+                out.append(_outcome(fn, p, ctx))
+            out += [_outcome(reduce_to_watson, WatsonPoint(p.a, p.b, p.c, 0, j), ctx)
+                    for j in range(4)]
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == RELATIONS_DIGEST

@@ -494,9 +494,9 @@ def test_levin_scan_draws_terms_only_to_its_break(monkeypatch):
     orders, pulled = [], []
     real_row = series._LEVIN_COEFFS.row
 
-    def row(k, beta, prec, length):
+    def row(k, prec, length):
         orders.append(k)
-        return real_row(k, beta, prec, length)
+        return real_row(k, prec, length)
 
     def counted(terms):
         for t in terms:
@@ -928,7 +928,7 @@ def test_levin_coefficients_equal_mpf_form():
     for prec in (113, 226, 286):
         with mpmath.workprec(prec):
             for k in range(1, 40):
-                row = series._LEVIN_COEFFS.row(k, 1, prec, 40 - k)
+                row = series._LEVIN_COEFFS.row(k, prec, 40 - k)
                 assert [mpmath.mp.make_mpf(c) for c in row[:40 - k]] == \
                     [_frozen_levin_coeff(k, n) for n in range(40 - k)]
 
