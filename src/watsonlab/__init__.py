@@ -4,8 +4,7 @@ of its summation identities and contiguous relations."""
 
 __version__ = "0.1.0"
 
-from .mpnum import (GammaFactor, NumeratorPole, PrecisionCtx, XReal,
-                    gamma_product, ln_gamma, pochhammer)
+from .mpnum import GammaFactor, NumeratorPole, PrecisionCtx, gamma_product, ln_gamma
 from .series import (PFQ, ArgumentNotUnity, DivergentSeries, EvalResult,
                      NonRationalInput, NotTerminating, OutsideRadius,
                      SeriesError, convergence_margin, eval_exact, eval_general,
@@ -18,5 +17,4 @@ from .lattice import (DivergentPoint, PreconditionViolation, ReductionPlan,
                       three_term_printed, to_pfq)
 from .report import RelationInstance, RelationReport
 from .verify import (RELATIONS, SUITE_ORDER, SamplingExhausted, UnknownRelation,
-                     check_debranges, check_relation, run_suite, sample_params,
-                     worker_pool)
+                     check_relation, run_suite, sample_params, worker_pool)

@@ -75,6 +75,10 @@ def _digits_arg(text: str) -> int:
     return value
 
 
+_PARAM_HELP = ("an exact decimal or p/q; write a negative fraction with '=', as "
+               "-c=-1/2, since argparse reads -c -1/2 as an option")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--digits", type=_digits_arg,
@@ -87,7 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--pole-guard", type=float, default=0.05, dest="pole_guard",
                         help="minimum distance of gamma arguments from nonpositive integers "
                              "(in [0, 0.5), default 0.05)")
-    common.add_argument("--output", choices=("text", "json", "csv"), default="text")
+    common.add_argument("--output", choices=("text", "json", "csv", "table"), default="text",
+                        help="report format (default text).  For suite, text is the JSON "
+                             "report and table the check text of every relation; the "
+                             "other commands read table as text")
     common.add_argument("--out", dest="out_path", default=None,
                         help="write the report to this path instead of stdout")
     common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
@@ -104,9 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", parents=[common],
                             help="evaluate f_{i,j}(a,b,c)")
-    p_eval.add_argument("-a", type=_parse_param, required=True)
-    p_eval.add_argument("-b", type=_parse_param, required=True)
-    p_eval.add_argument("-c", type=_parse_param, required=True)
+    for name in ("-a", "-b", "-c"):
+        p_eval.add_argument(name, type=_parse_param, required=True, help=_PARAM_HELP)
     p_eval.add_argument("-i", type=int, default=0)
     p_eval.add_argument("-j", type=int, default=0)
 
@@ -119,9 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_reduce = sub.add_parser("reduce", parents=[common],
                               help="expand f_{0,j} over base-row closed-form values")
-    p_reduce.add_argument("-a", type=_parse_param, required=True)
-    p_reduce.add_argument("-b", type=_parse_param, required=True)
-    p_reduce.add_argument("-c", type=_parse_param, required=True)
+    for name in ("-a", "-b", "-c"):
+        p_reduce.add_argument(name, type=_parse_param, required=True, help=_PARAM_HELP)
     p_reduce.add_argument("-i", type=int, default=0)
     p_reduce.add_argument("-j", type=int, required=True)
     return parser
@@ -256,6 +261,8 @@ def _cmd_suite(args, cfg: RunConfig) -> int:
     reports = verify.run_suite(cfg.seed, ctx, samples=cfg.samples, threads=cfg.threads)
     if cfg.output == "csv":
         text = _csv_text(reports)
+    elif cfg.output == "table":
+        text = "".join(_report_text(r) for r in reports)
     else:
         text = json.dumps(suite_document(reports, cfg), indent=2) + "\n"
     rc = _emit(text, cfg.out_path)
@@ -268,9 +275,6 @@ def _cmd_suite(args, cfg: RunConfig) -> int:
 
 def _cmd_reduce(args, cfg: RunConfig) -> int:
     ctx = cfg.ctx()
-    if args.i != 0 or args.j < 0:
-        print("error: reduction is defined for i = 0 and j >= 0", file=sys.stderr)
-        return 2
     target = WatsonPoint(args.a, args.b, args.c, args.i, args.j)
     try:
         plan = reduce_to_watson(target, ctx)

@@ -20,7 +20,8 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpf
 
-from .mpnum import PrecisionCtx, as_rational, gamma_product, to_mpf_ambient
+from .mpnum import (PrecisionCtx, as_rational, gamma_product, nearest_nonpos_int,
+                    to_mpf_ambient)
 from .report import fmt_num
 
 FORM_IDS = ("gauss", "watson_00", "lavoie_plus", "lavoie_minus")
@@ -47,7 +48,9 @@ class DivergenceRegion(ValueError):
 
 
 class ParameterPole(ValueError):
-    """a or b too close to a nonpositive integer; the form would need a limit."""
+    """a or b too close to a nonpositive integer, or a series denominator
+    (a+b+1)/2 or 2c+j equal to one: the series then ends before that pole, at
+    a value the gamma form need not give, or is undefined."""
 
 
 def registry_as_dicts(reports):
@@ -92,6 +95,12 @@ def _require_excess(value, floor_value, form_id):
         )
 
 
+def _require_series_denominators(form_id, *dens):
+    for d in dens:
+        if nearest_nonpos_int(d, 0) is not None:
+            raise ParameterPole(f"{form_id}: series denominator {d} is a nonpositive integer")
+
+
 def gauss_2f1_unit(a, b, c, ctx: PrecisionCtx) -> mpf:
     """Unit-argument 2F1 summation: G(c)G(c-a-b) / (G(c-a)G(c-b)), needs c-a-b > 0."""
     a, b, c = _coerce3(ctx, a, b, c)
@@ -106,9 +115,10 @@ def watson_00(a, b, c, ctx: PrecisionCtx) -> mpf:
     """The j = 0 row closed form, valid for 2c - a - b > -1.
 
     A denominator gamma argument equal to a nonpositive integer makes the
-    value an exact zero, which matches the terminating series whenever both
-    sides are defined; one only within the pole guard of it raises
-    NumeratorPole (see gamma_product).
+    value an exact zero; one only within the pole guard of it raises
+    NumeratorPole (see gamma_product).  Past those checks, a series
+    denominator (a+b+1)/2 or 2c equal to a nonpositive integer raises
+    ParameterPole.
     """
     a, b, c = _coerce3(ctx, a, b, c)
     _require_excess(2 * c - a - b, -1.0, "watson_00")
@@ -116,7 +126,9 @@ def watson_00(a, b, c, ctx: PrecisionCtx) -> mpf:
     with ctx.working(8):
         nums = [h, c + h, (a + b) / 2 + h, c - (a + b) / 2 + h]
         dens = [(a + 1) / 2, (b + 1) / 2, c - a / 2 + h, c - b / 2 + h]
-    return gamma_product(nums, dens, ctx)
+    value = gamma_product(nums, dens, ctx)
+    _require_series_denominators("watson_00", nums[2], 2 * c)
+    return value
 
 
 def _lavoie(a, b, c, ctx: PrecisionCtx, down: bool) -> mpf:
@@ -140,6 +152,7 @@ def _lavoie(a, b, c, ctx: PrecisionCtx, down: bool) -> mpf:
                                [c - a / 2 + (0 if down else 1),
                                 c - b / 2 + (0 if down else 1)], inner)
         raw = pow2 * pref_gamma * (first - second)
+        _require_series_denominators(form_id, (a + b) / 2 + h, 2 * c + sgn)
     with ctx.working():
         return +raw
 

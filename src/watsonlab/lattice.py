@@ -303,7 +303,8 @@ def reduce_to_watson(target: WatsonPoint, ctx: PrecisionCtx) -> ReductionPlan:
             ak, bk, ck = a + k, b + k, c + k
             try:
                 base = closedform.watson_00(ak, bk, ck, ctx)
-            except (closedform.DivergenceRegion, NumeratorPole) as exc:
+            except (closedform.DivergenceRegion, closedform.ParameterPole,
+                    NumeratorPole) as exc:
                 raise PreconditionViolation(f"base value at shift {k}: {exc}") from exc
             total += to_mpf_ambient(w) * base
         value = +total

@@ -1,4 +1,4 @@
-"""Extended-precision real arithmetic context and the log-gamma / Pochhammer kernel.
+"""Extended-precision real arithmetic context and the log-gamma kernel.
 
 Values are plain mpmath ``mpf`` floats created under a :class:`PrecisionCtx`.
 The context fixes the working mantissa (at least ``digits * 3.33`` bits, so the
@@ -22,14 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import mpmath
 from mpmath import mpf
 from mpmath.libmp import from_float, from_int, mpf_abs, mpf_le, mpf_sub, round_nearest, to_int
-
-XReal = mpf
-Realish = Union[int, float, str, Fraction, mpf]
 
 _LN_DIGITS_GUARD = 12   # extra decimal digits carried inside ln_gamma
 _PRODUCT_GUARD = 15     # extra decimal digits carried inside gamma_product
@@ -111,18 +108,10 @@ class PrecisionCtx:
         """Context manager running mpmath at this precision plus guard digits."""
         return mpmath.workprec(self.prec + int(extra_digits * 3.3322))
 
-    def mpf(self, x: Realish) -> mpf:
+    def mpf(self, x) -> mpf:
         """Convert to mpf, correctly rounded at the context precision."""
         with self.working():
             return +to_mpf_ambient(x)
-
-    def to_text(self, x: mpf) -> str:
-        """Decimal text form; round-trips through from_text without value change."""
-        return mpmath.nstr(x, int(self.prec * 0.30103) + 3)
-
-    def from_text(self, s: str) -> mpf:
-        with self.working():
-            return +mpf(s)
 
     def near_nonpos_int(self, x) -> Optional[int]:
         """The nonpositive integer within pole_guard of x, or None; see
@@ -138,33 +127,6 @@ class GammaFactor:
     value_ln: mpf
     sign: int
     pole: bool
-
-
-def pochhammer(alpha, n: int, ctx: Optional[PrecisionCtx] = None):
-    """Rising factorial alpha (alpha+1) ... (alpha+n-1), empty product for n = 0.
-
-    Computed as a running product, never via gamma quotients, so a zero factor
-    gives an exact zero.  Exact (int/Fraction) input yields an exact Fraction.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    r = as_rational(alpha)
-    if r is not None:
-        out = Fraction(1)
-        for k in range(n):
-            out *= r + k
-        return out
-    if ctx is None:
-        acc = mpf(1)
-        for k in range(n):
-            acc *= alpha + k
-        return acc
-    with ctx.working():
-        acc = mpf(1)
-        a = ctx.mpf(alpha)
-        for k in range(n):
-            acc *= a + k
-        return +acc
 
 
 def ln_gamma(x, ctx: PrecisionCtx) -> GammaFactor:

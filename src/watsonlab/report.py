@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -123,24 +123,11 @@ class RelationReport:
         return out
 
     def csv_rows(self):
+        """Each sample's as_dict, its lattice indices split into i and j and
+        its params spread into param_* fields."""
         for s in self.samples:
-            i, j = s.lattice_indices if s.lattice_indices else (None, None)
-            yield {
-                "relation_id": self.relation_id,
-                "index": s.index,
-                "kind": s.kind,
-                "i": i,
-                "j": j,
-                **{f"param_{k}": fmt_num(v) for k, v in s.params.items()},
-                "lhs": fmt_num(s.lhs),
-                "rhs": fmt_num(s.rhs),
-                "abs_residual": fmt_num(s.abs_residual),
-                "rel_residual": fmt_num(s.rel_residual),
-                "eval_bounds": fmt_num(s.eval_bounds),
-                "converged": s.converged,
-                "exact": s.exact,
-            }
-
-
-def reindexed(inst: RelationInstance, index: int) -> RelationInstance:
-    return replace(inst, index=index)
+            row = s.as_dict()
+            i, j = row.pop("lattice_indices") or (None, None)
+            params = row.pop("params")
+            yield {"relation_id": self.relation_id, "i": i, "j": j, **row,
+                   **{f"param_{k}": v for k, v in params.items()}}

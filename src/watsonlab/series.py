@@ -441,15 +441,16 @@ def default_tolerance(ctx: PrecisionCtx) -> mpf:
     return mpf(10) ** (2 - ctx.digits)
 
 
-def eval_unit(f: PFQ, ctx: PrecisionCtx, tol=None, max_terms: Optional[int] = None) -> EvalResult:
+def eval_unit(f: PFQ, ctx: PrecisionCtx, tol=None) -> EvalResult:
     """Evaluate a pFq at z = 1.
 
     A series that ends (:func:`classify`) is summed exactly (rational data)
     or term by term; when no numerator ends it, a float or mpf numerator
     within pole_guard of -m but not equal to it raises SeriesError rather
     than cut the series off at m.  Convergent series go through direct
-    summation when the algebraic tail bound can reach tol inside the
-    budget, otherwise through the accelerator.
+    summation when the algebraic tail bound can reach tol within
+    DIRECT_MAX_TERMS terms, otherwise through the accelerator, which stops
+    at ACCEL_MAX_PARTIAL_SUMS partial sums.
     If tol is unreachable, the best estimate is returned with converged False
     and an honest bound.
     """
@@ -464,16 +465,15 @@ def eval_unit(f: PFQ, ctx: PrecisionCtx, tol=None, max_terms: Optional[int] = No
     if s_mpf <= 0:
         raise DivergentSeries(f"parametric excess {s_mpf} <= 0 for non-terminating series")
     if s_mpf > 1:
-        budget = DIRECT_MAX_TERMS if max_terms is None else max_terms
-        direct = _direct_unit(f, ctx, tol, budget, s_mpf)
+        direct = _direct_unit(f, ctx, tol, DIRECT_MAX_TERMS, s_mpf)
         if direct is not None:
             return direct
-    budget = ACCEL_MAX_PARTIAL_SUMS if max_terms is None else max_terms
-    return _accelerated_unit(f, ctx, tol, budget)
+    return _accelerated_unit(f, ctx, tol, ACCEL_MAX_PARTIAL_SUMS)
 
 
-def eval_general(f: PFQ, ctx: PrecisionCtx, tol=None, max_terms: Optional[int] = None) -> EvalResult:
-    """Evaluate a pFq inside the unit disk (|z| < 1) or a terminating one anywhere.
+def eval_general(f: PFQ, ctx: PrecisionCtx, tol=None) -> EvalResult:
+    """Evaluate a pFq inside the unit disk (|z| < 1) or a terminating one anywhere,
+    summing at most DIRECT_MAX_TERMS terms.
 
     Termination is decided as in :func:`eval_unit`.
     """
@@ -487,8 +487,6 @@ def eval_general(f: PFQ, ctx: PrecisionCtx, tol=None, max_terms: Optional[int] =
         z_abs = abs(to_mpf_ambient(c.z))
     if z_abs >= 1:
         raise OutsideRadius(f"|z| = {z_abs} >= 1 and the series does not terminate")
-    if max_terms is None:
-        max_terms = DIRECT_MAX_TERMS
     with ctx.working(10):
         prec = mpmath.mp.prec
         nums = _raw(c.nums)
@@ -502,7 +500,7 @@ def eval_general(f: PFQ, ctx: PrecisionCtx, tol=None, max_terms: Optional[int] =
         bound = finf
         used = 1
         next(terms)
-        for n in range(max_terms):
+        for n in range(DIRECT_MAX_TERMS):
             t = from_man_exp(*next(terms))
             total = mpf_add(total, t, prec, _RND)
             used = n + 2

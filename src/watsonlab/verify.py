@@ -37,7 +37,7 @@ from mpmath import mpf
 from . import closedform, lattice
 from .mpnum import (NumeratorPole, PrecisionCtx, gamma_product, nearest_nonpos_int,
                     to_mpf_ambient)
-from .report import RelationInstance, RelationReport, finish_instance, reindexed
+from .report import RelationInstance, RelationReport, finish_instance
 from .series import (PFQ, DivergentSeries, SeriesError, eval_exact,
                      eval_general, eval_unit)
 
@@ -111,31 +111,31 @@ class SampleConstraints:
     margins: Callable
     pole_args: Callable
     zero_args: Callable = lambda a, b, c: []
-    s_lo: float = 0.75
-    s_hi: float = 3.0
 
 
 def sample_params(seed: int, index: int, constraints: SampleConstraints,
-                  ctx: PrecisionCtx) -> Tuple[mpf, mpf, mpf]:
+                  ctx: PrecisionCtx, window=DEFAULT_WINDOW) -> Tuple[mpf, mpf, mpf]:
     """Deterministic parameter triple for sample `index` of a relation.
 
     The generator is splitmix64 seeded with seed XOR index; a and b are uniform
     on [0.1, 3.0], and c is solved so the tightest constituent margin hits the
-    drawn s in [s_lo, s_hi].  Bounded retries reject triples with any gamma or
-    series parameter too close to a pole.
+    drawn s in window = (s_lo, s_hi).  Bounded retries reject triples with any
+    gamma or series parameter too close to a pole, and raise SamplingExhausted
+    after 1000 (always, for an empty window).
     """
     rng = SplitMix64((seed ^ index) & MASK64)
     guard = ctx.pole_guard
+    s_lo, s_hi = window
     with ctx.working():
         for _ in range(1000):
             a = rng.uniform("0.1", "3.0")
             b = rng.uniform("0.1", "3.0")
-            s = rng.uniform(constraints.s_lo, constraints.s_hi)
+            s = rng.uniform(s_lo, s_hi)
             c = constraints.solve_c(a, b, s)
             margins = [float(to_mpf_ambient(m)) for m in constraints.margins(a, b, c)]
             if margins:
                 tightest = min(margins)
-                if not (constraints.s_lo - 1e-9 <= tightest <= constraints.s_hi + 1e-9):
+                if not (s_lo - 1e-9 <= tightest <= s_hi + 1e-9):
                     continue
             if any(nearest_nonpos_int(v, guard) is not None
                    for v in constraints.pole_args(a, b, c)):
@@ -499,8 +499,7 @@ def transcription_diff(i: int, j: int) -> List[str]:
 def _sample_abc(constraints: SampleConstraints, index: int, seed: int,
                 ctx: PrecisionCtx, window) -> dict:
     """Random sample `index`: an (a, b, c) triple whose margin lies in window."""
-    cons = replace(constraints, s_lo=window[0], s_hi=window[1])
-    a, b, c = sample_params(seed, index, cons, ctx)
+    a, b, c = sample_params(seed, index, constraints, ctx, window)
     return {"a": a, "b": b, "c": c}
 
 
@@ -670,24 +669,20 @@ EXPECTED_IDENTITY = tuple(r for r in SUITE_ORDER
 # ---------------------------------------------------------------------------
 # verdicts and orchestration
 
-def _evaluate_task(relation_id: str, kind: str, sample, seed: int,
-                   ctx: PrecisionCtx, window) -> RelationInstance:
-    """Evaluate one instance; a random sample arrives as its index and is drawn
-    here, probes and grid points arrive as their sample dicts."""
+def _evaluate_task(task) -> RelationInstance:
+    """The instance at position index of a (relation_id, index, kind, sample,
+    seed, ctx) task.  A random sample arrives as its draw number and is drawn
+    here, in DEFAULT_WINDOW; probes and grid points arrive as their sample dicts."""
+    relation_id, index, kind, sample, seed, ctx = task
     rel = RELATIONS[relation_id]
     if kind == "sample":
         try:
-            sample = rel.build_sample(sample, seed, ctx, window)
+            sample = rel.build_sample(sample, seed, ctx, DEFAULT_WINDOW)
         except SamplingExhausted as exc:
-            return replace(_failed_instance(relation_id, {}, None, str(exc)), kind=kind)
+            inst = _failed_instance(relation_id, {}, None, str(exc))
+            return replace(inst, index=index, kind=kind)
     inst = rel.evaluate(sample, ctx, adjudication_tol(ctx))
-    return replace(inst, kind=kind)
-
-
-def _task_worker(args) -> RelationInstance:
-    relation_id, kind, sample, seed, digits, pole_guard, w_lo, w_hi = args
-    ctx = PrecisionCtx(digits=digits, pole_guard=pole_guard)
-    return _evaluate_task(relation_id, kind, sample, seed, ctx, (w_lo, w_hi))
+    return replace(inst, index=index, kind=kind)
 
 
 def worker_pool(threads: int):
@@ -708,12 +703,12 @@ def worker_pool(threads: int):
 
 def _run_tasks(tasks, pool):
     if pool is None or len(tasks) < 2:
-        return [_task_worker(t) for t in tasks]
+        return [_evaluate_task(t) for t in tasks]
     try:
         chunk = max(1, len(tasks) // (pool._max_workers * 4))
-        return list(pool.map(_task_worker, tasks, chunksize=chunk))
+        return list(pool.map(_evaluate_task, tasks, chunksize=chunk))
     except OSError:
-        return [_task_worker(t) for t in tasks]
+        return [_evaluate_task(t) for t in tasks]
 
 
 def _judged(rel: RelationDef, seed: int, ctx: PrecisionCtx, n_requested: int,
@@ -753,11 +748,11 @@ def _judged(rel: RelationDef, seed: int, ctx: PrecisionCtx, n_requested: int,
 
 
 def check_relation(relation_id: str, n_samples: int, seed: int, ctx: PrecisionCtx,
-                   window=DEFAULT_WINDOW, pool=None) -> RelationReport:
-    """Adjudicate one relation: deterministic probes plus n_samples random draws,
-    or every point of its fixed grid.  The instances are evaluated on pool, an
-    open worker_pool, or in this process when pool is None; the report does
-    not depend on which.
+                   pool=None) -> RelationReport:
+    """Adjudicate one relation: deterministic probes plus n_samples random draws
+    with margins in DEFAULT_WINDOW, or every point of its fixed grid.  The
+    instances are evaluated on pool, an open worker_pool, or in this process
+    when pool is None; the report does not depend on which.
 
     The verdict rule, over converged instances only: not_identity needs one
     whose residual clears both 0.01 and 100 x its evaluation bounds, or one
@@ -781,20 +776,9 @@ def check_relation(relation_id: str, n_samples: int, seed: int, ctx: PrecisionCt
         work = ([("probe", p) for p in rel.probes(ctx)]
                 + [("sample", k) for k in range(n_samples)])
         minimum = n_samples
-    tasks = [(relation_id, kind, sample, rel_seed, ctx.digits, ctx.pole_guard,
-              window[0], window[1]) for kind, sample in work]
-    instances = [reindexed(inst, k) for k, inst in enumerate(_run_tasks(tasks, pool))]
-    return _judged(rel, seed, ctx, n_samples, instances, minimum)
-
-
-def check_debranges(grid, ctx: PrecisionCtx) -> RelationReport:
-    """Positivity sweep over the terminating family; grid=None uses the stated grid."""
-    if grid is None:
-        return check_relation("debranges", 0, 0, ctx)
-    pts = _debranges_points(grid)
-    instances = [reindexed(_debranges_instance(p, ctx, None), k)
-                 for k, p in enumerate(pts)]
-    return _judged(RELATIONS["debranges"], 0, ctx, len(pts), instances, len(pts))
+    tasks = [(relation_id, k, kind, sample, rel_seed, ctx)
+             for k, (kind, sample) in enumerate(work)]
+    return _judged(rel, seed, ctx, n_samples, _run_tasks(tasks, pool), minimum)
 
 
 def run_suite(seed: int, ctx: PrecisionCtx, samples: int = 100,

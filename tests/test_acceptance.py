@@ -42,7 +42,7 @@ def _announce(num, ok, detail):
 def test_criterion_1_watson_identity_100_samples_digits40():
     ctx = PrecisionCtx(digits=40)
     t0 = time.time()
-    rep = verify.check_relation("watson_00", 100, SEED, ctx, window=(0.75, 3.0))
+    rep = verify.check_relation("watson_00", 100, SEED, ctx)
     elapsed = time.time() - t0
     randoms = [s for s in rep.samples if s.kind == "sample"]
     ok = (rep.verdict == "identity"
@@ -162,7 +162,7 @@ def test_criterion_7_thomae_macrobert(ctx30):
 
 def test_criterion_8_debranges_positivity(ctx30):
     t0 = time.time()
-    rep = verify.check_debranges(None, ctx30)
+    rep = verify.check_relation("debranges", 0, 0, ctx30)
     elapsed = time.time() - t0
     ok = (rep.verdict == "identity"
           and all(s.exact and s.lhs > 0 for s in rep.samples)

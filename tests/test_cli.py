@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from watsonlab.cli import main
+from watsonlab.verify import EXPECTED_IDENTITY, GRID, SUITE_ORDER
 
 PI2_4_30 = "2.46740110027233965470862274996"
 
@@ -150,6 +151,14 @@ def test_reduce_text(capsys):
     assert code == 0
     assert "-1/9" in out
     assert "1.4674011002723396" in out
+
+
+def test_reduce_refuses_a_base_value_at_a_series_denominator_pole(capsys):
+    # watson_00(1, -3, -1): 2c = -2 and the series ends first; it once printed 3.0
+    code, out, err = run(capsys, "reduce", "-a", "1", "-b", "-3", "-c", "-1", "-j", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_reduce_rejects_bad_indices(capsys):
@@ -351,3 +360,19 @@ def test_bench_record_ratio_separates_a_gain_from_host_drift():
     assert wall["change_wins"] == 10 and not wall["gain_shown"]
     assert wall["ratio"]["q3"] < 1
     assert wall["ratio"]["median"] == pytest.approx(0.85)
+
+
+def test_suite_table_is_the_check_text_of_every_relation(capsys):
+    common = ["--digits", "20", "--seed", "7", "--threads", "1"]
+    code, table, _ = run(capsys, "suite", "--output", "table", "--samples", "1", *common)
+    texts, identity = [], True
+    for rid in SUITE_ORDER:
+        # the suite widens recurrence_16 to every grid cell
+        samples = str(len(GRID)) if rid == "recurrence_16" else "1"
+        rc, out, _ = run(capsys, "check", rid, "--samples", samples, *common)
+        texts.append(out)
+        identity &= rc == 0 or rid not in EXPECTED_IDENTITY
+    assert table == "".join(texts)
+    assert code == (0 if identity else 1)
+    _, out, _ = run(capsys, "check", "gauss", "--output", "table", "--samples", "1", *common)
+    assert out == texts[0]

@@ -187,3 +187,28 @@ def test_registry_as_dicts_derives_status_from_reports():
     # an inconclusive verdict does not verify, however many samples converged
     rows = registry_as_dicts([_report("gauss", "inconclusive", 150, mpf(1))])
     assert rows[0]["status"] == "unverified" and rows[0]["n_samples"] == 150
+
+
+def test_watson_rows_refuse_or_match_the_exact_series_at_terminating_points():
+    # a, b, c over k/2, -8 <= k <= 6, where one of them ends the series: a
+    # series denominator (a+b+1)/2 or 2c+j may be a nonpositive integer there
+    # (watson_00(1, -3, -1) once read 0 where the series sums to 4)
+    ctx = PrecisionCtx(digits=30)
+    halves = [Fraction(k, 2) for k in range(-8, 7)]
+    answered = 0
+    for form, j in ((watson_00, 0), (lavoie_plus, 1)):
+        for a in halves:
+            for b in halves:
+                for c in halves:
+                    if all(x > 0 or x.denominator != 1 for x in (a, b, c)):
+                        continue
+                    try:
+                        value = form(a, b, c, ctx)
+                    except (DivergenceRegion, ParameterPole, NumeratorPole):
+                        continue
+                    exact = eval_exact(to_pfq(WatsonPoint(a, b, c, 0, j)))
+                    with ctx.working(10):
+                        assert abs(value - exact) <= mpf(10) ** -25 * max(1, abs(exact)), \
+                            (form.__name__, a, b, c)
+                    answered += 1
+    assert answered > 500

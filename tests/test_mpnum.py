@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
 from watsonlab.mpnum import (GammaFactor, NumeratorPole, PrecisionCtx, gamma_product,
-                             ln_gamma, nearest_nonpos_int, pochhammer, to_mpf_ambient)
+                             ln_gamma, nearest_nonpos_int, to_mpf_ambient)
 
 CTX = PrecisionCtx(digits=30)
 
@@ -43,44 +42,6 @@ def test_nearest_nonpos_int_is_exact():
         assert nearest_nonpos_int(mpf(-1), 0) == -1
         assert nearest_nonpos_int(near, 0.05) == -1
     assert PrecisionCtx(digits=30, pole_guard=0).near_nonpos_int(near) is None
-
-
-def test_ctx_text_roundtrip():
-    rng = random.Random(7)
-    for _ in range(200):
-        with CTX.working():
-            x = mpf(rng.random()) * 10 ** rng.randint(-8, 8)
-            x = +x
-        assert CTX.from_text(CTX.to_text(x)) == x
-
-
-@pytest.mark.parametrize("alpha, n, expected", [
-    (Fraction(5, 2), 0, Fraction(1)),
-    (1, 4, 24),
-    (-3, 5, 0),
-    (Fraction(1, 2), 2, Fraction(3, 4)),
-])
-def test_pochhammer_values(alpha, n, expected):
-    assert pochhammer(alpha, n) == expected
-
-
-@given(st.fractions(min_value=-20, max_value=20, max_denominator=64),
-       st.integers(min_value=0, max_value=200))
-@settings(max_examples=80, deadline=None)
-def test_pochhammer_recurrence(alpha, n):
-    # (alpha)_{n+1} = (alpha)_n (alpha + n), exactly
-    assert pochhammer(alpha, n + 1) == pochhammer(alpha, n) * (alpha + n)
-
-
-@pytest.mark.parametrize("alpha", ["0.3", "1.7", "4.25"])
-def test_pochhammer_matches_gamma_quotient(alpha):
-    tol = mpf(10) ** (8 - CTX.digits)
-    with CTX.working():
-        a = mpf(alpha)
-        for n in range(1, 51):
-            direct = pochhammer(a, n, CTX)
-            via_gamma = mpmath.exp(ln_gamma(a + n, CTX).value_ln - ln_gamma(a, CTX).value_ln)
-            assert abs(direct - via_gamma) / direct <= tol
 
 
 def test_ln_gamma_basics():

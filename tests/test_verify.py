@@ -16,8 +16,7 @@ from watsonlab.mpnum import PrecisionCtx
 from watsonlab.verify import (CASE_ORDER, GRID, RELATIONS, SUITE_ORDER,
                               SamplingExhausted, SplitMix64, UnknownRelation,
                               _case_id, _debranges_points, _recurrence_constraints,
-                              _relation_seed,
-                              check_debranges, check_relation, sample_params,
+                              _relation_seed, check_relation, sample_params,
                               transcription_diff, worker_pool)
 
 CTX = PrecisionCtx(digits=30)
@@ -46,10 +45,8 @@ def test_sample_params_deterministic_and_in_window():
 
 
 def test_sample_params_exhausts_on_empty_window():
-    from dataclasses import replace
-    cons = replace(_recurrence_constraints(0, 0), s_lo=2.0, s_hi=1.0)
     with pytest.raises(SamplingExhausted):
-        sample_params(1, 1, cons, CTX)
+        sample_params(1, 1, _recurrence_constraints(0, 0), CTX, window=(2.0, 1.0))
 
 
 def test_grid_and_case_list():
@@ -145,8 +142,13 @@ def test_thomae_and_macrobert():
     assert x0.abs_residual == 0          # x = 0 makes both sides exactly 1
 
 
+def _with_debranges_grid(monkeypatch, grid):
+    monkeypatch.setitem(RELATIONS, "debranges", replace(
+        RELATIONS["debranges"], fixed_grid=lambda ctx: _debranges_points(grid)))
+
+
 def test_debranges_grid():
-    rep = check_debranges(None, FAST)
+    rep = check_relation("debranges", 0, 0, FAST)
     assert rep.verdict == "identity"
     assert rep.n_converged == len(rep.samples) == 1270
     assert all(s.exact for s in rep.samples)
@@ -157,10 +159,11 @@ def test_debranges_grid():
     assert spot and spot[0].lhs == Fraction(3, 4)
 
 
-def test_debranges_custom_grid():
-    rep = check_debranges({"n_max": 3,
-                           "alphas": (Fraction(-1, 2), Fraction(2)),
-                           "xs": (Fraction(0), Fraction(1, 2))}, FAST)
+def test_debranges_custom_grid(monkeypatch):
+    _with_debranges_grid(monkeypatch, {"n_max": 3,
+                                       "alphas": (Fraction(-1, 2), Fraction(2)),
+                                       "xs": (Fraction(0), Fraction(1, 2))})
+    rep = check_relation("debranges", 0, 0, FAST)
     assert rep.verdict == "identity"
     assert len(rep.samples) == 16
 
@@ -171,12 +174,12 @@ _NEGATIVE_GRID = {"n_max": 2, "alphas": (Fraction(-13, 4),), "xs": (Fraction(1, 
 
 def test_exact_nonzero_residual_refutes_on_both_paths(monkeypatch):
     # the residual 1/700 is below the 0.01 floor; exactness alone makes it a
-    # counterexample, on the custom-grid path and through check_relation alike
-    direct = check_debranges(_NEGATIVE_GRID, FAST)
-    monkeypatch.setitem(RELATIONS, "debranges", replace(
-        RELATIONS["debranges"], fixed_grid=lambda ctx: _debranges_points(_NEGATIVE_GRID)))
-    routed = check_relation("debranges", 0, 0, FAST)
-    for rep in (direct, routed):
+    # counterexample, evaluated in this process and on a worker pool alike
+    _with_debranges_grid(monkeypatch, _NEGATIVE_GRID)
+    serial = check_relation("debranges", 0, 0, FAST)
+    with worker_pool(2) as pool:
+        pooled = check_relation("debranges", 0, 0, FAST, pool=pool)
+    for rep in (serial, pooled):
         assert rep.verdict == "not_identity"
         ce = rep.counterexample
         assert ce.exact and ce.params["n"] == 2
