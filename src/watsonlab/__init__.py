@@ -11,10 +11,10 @@ from .series import (PFQ, ArgumentNotUnity, DivergentSeries, EvalResult,
                      eval_unit, termination_degree)
 from .closedform import (FORM_IDS, DivergenceRegion, ParameterPole, gauss_2f1_unit,
                          lavoie_minus, lavoie_plus, registry_as_dicts, watson_00)
-from .lattice import (DivergentPoint, PreconditionViolation, ReductionPlan,
-                      UnsupportedIndex, WatsonPoint, eval_point, margin,
-                      recurrence_residual, reduce_to_watson, three_term_corrected,
-                      three_term_printed, to_pfq)
+from .lattice import (PreconditionViolation, ReductionPlan, UnsupportedIndex,
+                      WatsonPoint, eval_point, margin, recurrence_residual,
+                      reduce_to_watson, three_term_corrected, three_term_printed,
+                      to_pfq)
 from .report import RelationInstance, RelationReport
 from .verify import (RELATIONS, SUITE_ORDER, SamplingExhausted, UnknownRelation,
                      check_relation, run_suite, sample_params, worker_pool)

@@ -1,12 +1,12 @@
 """Command-line front end: eval, check, suite, reduce.
 
 Exit codes: 0 pass, 1 refuted or divergent, 2 usage or I/O trouble,
-3 inconclusive.  All randomness is seeded and every report embeds the full
-run configuration, so identical invocations produce byte-identical output
-regardless of --threads.  Despite its name, --threads sets the number of worker
-processes that evaluate relation instances: check and suite each start one
-ProcessPoolExecutor of that size, capped at the CPU count, for the whole
-command, and 1 runs everything in this process.
+3 inconclusive.  Only check and suite sample, so only they take --seed,
+--samples and --threads.  Sampling is seeded and the suite document embeds
+its run configuration, so identical invocations print identical bytes
+whatever --threads is.  Despite its name, --threads sets the number of worker
+processes: one ProcessPoolExecutor per command, capped at the CPU count; 1
+runs everything in this process.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from mpmath import mpf
+import mpmath
 
 from . import __version__, closedform, verify
-from .lattice import (DivergentPoint, PreconditionViolation, UnsupportedIndex,
-                      WatsonPoint, eval_point, reduce_to_watson, to_pfq)
+from .lattice import (PreconditionViolation, UnsupportedIndex, WatsonPoint, eval_point,
+                      reduce_to_watson, to_pfq)
 from .mpnum import PrecisionCtx
 from .report import fmt_num
-from .series import eval_unit
+from .series import DivergentSeries, eval_unit
 
 DEFAULT_SEED = 0xC0FFEE
 _CSV_FIELDS = ["relation_id", "index", "kind", "i", "j",
@@ -43,8 +43,6 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     samples: int = 100
     pole_guard: float = 0.05
-    output: str = "text"
-    out_path: Optional[str] = None
     threads: int = 1
 
     def __post_init__(self):
@@ -68,39 +66,29 @@ def _parse_param(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"cannot parse parameter {text!r}: {exc}")
 
 
-def _digits_arg(text: str) -> int:
-    value = int(text)
-    if not 15 <= value <= 1000:
-        raise argparse.ArgumentTypeError(f"digits must lie in [15, 1000], got {value}")
-    return value
-
-
 _PARAM_HELP = ("an exact decimal or p/q; write a negative fraction with '=', as "
                "-c=-1/2, since argparse reads -c -1/2 as an option")
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--digits", type=_digits_arg,
+    common.add_argument("--digits", type=int,
                         default=os.environ.get("WATSON_DIGITS", "50"),
                         help="decimal working precision (15..1000; WATSON_DIGITS overrides the default)")
-    common.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
-                        help="sampling seed (default 0xC0FFEE)")
-    common.add_argument("--samples", type=int, default=100,
-                        help="random samples per relation (default 100)")
     common.add_argument("--pole-guard", type=float, default=0.05, dest="pole_guard",
                         help="minimum distance of gamma arguments from nonpositive integers "
                              "(in [0, 0.5), default 0.05)")
-    common.add_argument("--output", choices=("text", "json", "csv", "table"), default="text",
-                        help="report format (default text).  For suite, text is the JSON "
-                             "report and table the check text of every relation; the "
-                             "other commands read table as text")
     common.add_argument("--out", dest="out_path", default=None,
                         help="write the report to this path instead of stdout")
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="number of worker processes evaluating instances (despite the "
-                             "name; one process pool per command, at most one worker "
-                             "per CPU, 1 runs in this process); reports do not depend on it")
+    sampled = argparse.ArgumentParser(add_help=False)
+    sampled.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
+                         help="sampling seed (default 0xC0FFEE)")
+    sampled.add_argument("--samples", type=int, default=100,
+                         help="random samples per relation (default 100)")
+    sampled.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                         help="number of worker processes evaluating instances (despite the "
+                              "name; one process pool per command, at most one worker "
+                              "per CPU, 1 runs in this process); reports do not depend on it")
 
     parser = argparse.ArgumentParser(
         prog="watsonlab",
@@ -111,31 +99,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", parents=[common],
                             help="evaluate f_{i,j}(a,b,c)")
-    for name in ("-a", "-b", "-c"):
-        p_eval.add_argument(name, type=_parse_param, required=True, help=_PARAM_HELP)
-    p_eval.add_argument("-i", type=int, default=0)
-    p_eval.add_argument("-j", type=int, default=0)
-
-    p_check = sub.add_parser("check", parents=[common],
+    p_check = sub.add_parser("check", parents=[common, sampled],
                              help="adjudicate a single relation")
     p_check.add_argument("relation_id")
-
-    sub.add_parser("suite", parents=[common],
-                   help="run the full adjudication suite and emit the report")
-
+    p_suite = sub.add_parser("suite", parents=[common, sampled],
+                             help="run the full adjudication suite and emit the report "
+                                  "(--output table: the check text of every relation)")
     p_reduce = sub.add_parser("reduce", parents=[common],
                               help="expand f_{0,j} over base-row closed-form values")
-    for name in ("-a", "-b", "-c"):
-        p_reduce.add_argument(name, type=_parse_param, required=True, help=_PARAM_HELP)
-    p_reduce.add_argument("-i", type=int, default=0)
+    for p in (p_eval, p_reduce):
+        for name in ("-a", "-b", "-c"):
+            p.add_argument(name, type=_parse_param, required=True, help=_PARAM_HELP)
+    p_eval.add_argument("-i", type=int, default=0)
+    p_eval.add_argument("-j", type=int, default=0)
     p_reduce.add_argument("-j", type=int, required=True)
+    for p, formats in ((p_eval, ("text", "json")), (p_check, ("text", "json", "csv")),
+                       (p_suite, ("json", "csv", "table")), (p_reduce, ("text", "json"))):
+        p.add_argument("--output", choices=formats, default=formats[0],
+                       help=f"report format (default {formats[0]})")
     return parser
 
 
 def _config_from(args) -> RunConfig:
-    return RunConfig(digits=args.digits, seed=args.seed, samples=args.samples,
-                     pole_guard=args.pole_guard, output=args.output,
-                     out_path=args.out_path, threads=args.threads)
+    # eval and reduce take RunConfig's defaults for the sampling fields
+    sampled = {k: getattr(args, k) for k in ("seed", "samples", "threads") if hasattr(args, k)}
+    return RunConfig(digits=args.digits, pole_guard=args.pole_guard, **sampled)
 
 
 def _emit(text: str, out_path: Optional[str]) -> int:
@@ -155,14 +143,14 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
     ctx = cfg.ctx()
     point = WatsonPoint(args.a, args.b, args.c, args.i, args.j)
     try:
-        res = eval_point(point, ctx, tol=mpf(10) ** (2 - cfg.digits))
-    except DivergentPoint:
+        res = eval_point(point, ctx)
+    except DivergentSeries:
         print("divergent", file=sys.stderr)
         return 1
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.output == "json":
+    if args.output == "json":
         doc = {
             "point": {"a": str(args.a), "b": str(args.b), "c": str(args.c),
                       "i": args.i, "j": args.j},
@@ -174,8 +162,7 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
             "converged": res.converged,
             "exact_value": fmt_num(res.exact_value),
         }
-        return _emit(json.dumps(doc, indent=2) + "\n", cfg.out_path)
-    import mpmath
+        return _emit(json.dumps(doc, indent=2) + "\n", args.out_path)
     if res.exact_value is not None:
         lines = [f"{res.exact_value} (exact)"]
     else:
@@ -184,7 +171,7 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
               f"method = {res.method}",
               f"terms_used = {res.terms_used}",
               f"converged = {res.converged}"]
-    return _emit("\n".join(lines) + "\n", cfg.out_path)
+    return _emit("\n".join(lines) + "\n", args.out_path)
 
 
 _EXIT_FOR_VERDICT = {"identity": 0, "not_identity": 1, "inconclusive": 3}
@@ -231,13 +218,13 @@ def _cmd_check(args, cfg: RunConfig) -> int:
         print(f"error: unknown relation {args.relation_id!r}; known: {known}",
               file=sys.stderr)
         return 2
-    if cfg.output == "json":
+    if args.output == "json":
         text = json.dumps(report.as_dict(include_samples=True), indent=2) + "\n"
-    elif cfg.output == "csv":
+    elif args.output == "csv":
         text = _csv_text([report])
     else:
         text = _report_text(report)
-    rc = _emit(text, cfg.out_path)
+    rc = _emit(text, args.out_path)
     return rc if rc else _EXIT_FOR_VERDICT[report.verdict]
 
 
@@ -259,13 +246,13 @@ def suite_document(reports, cfg: RunConfig) -> dict:
 def _cmd_suite(args, cfg: RunConfig) -> int:
     ctx = cfg.ctx()
     reports = verify.run_suite(cfg.seed, ctx, samples=cfg.samples, threads=cfg.threads)
-    if cfg.output == "csv":
+    if args.output == "csv":
         text = _csv_text(reports)
-    elif cfg.output == "table":
+    elif args.output == "table":
         text = "".join(_report_text(r) for r in reports)
     else:
         text = json.dumps(suite_document(reports, cfg), indent=2) + "\n"
-    rc = _emit(text, cfg.out_path)
+    rc = _emit(text, args.out_path)
     if rc:
         return rc
     by_id = {r.relation_id: r for r in reports}
@@ -275,27 +262,27 @@ def _cmd_suite(args, cfg: RunConfig) -> int:
 
 def _cmd_reduce(args, cfg: RunConfig) -> int:
     ctx = cfg.ctx()
-    target = WatsonPoint(args.a, args.b, args.c, args.i, args.j)
+    target = WatsonPoint(args.a, args.b, args.c, 0, args.j)
     try:
         plan = reduce_to_watson(target, ctx)
     except (UnsupportedIndex, PreconditionViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    series = eval_unit(to_pfq(target), ctx, tol=mpf(10) ** (2 - cfg.digits))
+    series = eval_unit(to_pfq(target), ctx)
     with ctx.working(8):
         residual = abs(plan.value - series.value)
     doc = plan.as_dict()
     doc["series_value"] = fmt_num(series.value)
     doc["abs_residual_vs_series"] = fmt_num(residual)
-    if cfg.output == "json":
-        return _emit(json.dumps(doc, indent=2) + "\n", cfg.out_path)
+    if args.output == "json":
+        return _emit(json.dumps(doc, indent=2) + "\n", args.out_path)
     lines = [f"target: f_{{0,{args.j}}}({args.a}, {args.b}, {args.c})"]
     for term in doc["terms"]:
         lines.append(f"  shift k={term['shift']}: weight = {term['weight']}")
     lines += [f"value = {doc['value']}",
               f"series check = {doc['series_value']}",
               f"|difference| = {doc['abs_residual_vs_series']}"]
-    return _emit("\n".join(lines) + "\n", cfg.out_path)
+    return _emit("\n".join(lines) + "\n", args.out_path)
 
 
 def main(argv=None) -> int:

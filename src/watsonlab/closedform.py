@@ -24,8 +24,6 @@ from .mpnum import (PrecisionCtx, as_rational, gamma_product, nearest_nonpos_int
                     to_mpf_ambient)
 from .report import fmt_num
 
-FORM_IDS = ("gauss", "watson_00", "lavoie_plus", "lavoie_minus")
-
 # safety margin added to each printed strict inequality so adjudication never
 # happens in the slow-convergence limit
 VALIDITY_MARGIN = 0.05
@@ -41,6 +39,7 @@ FORM_EQUATIONS = {
                     "G(c-a/2-b/2-1/2) / (G(1/2)G(a)G(b)) * { G(a/2)G(b/2)/(G(c-a/2-1/2)"
                     "G(c-b/2-1/2)) - G(a/2+1/2)G(b/2+1/2)/(G(c-a/2)G(c-b/2)) }",
 }
+FORM_IDS = tuple(FORM_EQUATIONS)
 
 
 class DivergenceRegion(ValueError):

@@ -28,8 +28,8 @@ from mpmath import mpf
 
 from . import closedform
 from .mpnum import NumeratorPole, PrecisionCtx, as_rational, to_mpf_ambient
-from .report import RelationInstance, finish_instance
-from .series import PFQ, DivergentSeries, EvalResult, classify, eval_unit
+from .report import RelationInstance, finish_instance, fmt_num
+from .series import PFQ, EvalResult, classify, eval_unit
 
 
 class PreconditionViolation(ValueError):
@@ -37,10 +37,6 @@ class PreconditionViolation(ValueError):
 
 
 class UnsupportedIndex(ValueError):
-    pass
-
-
-class DivergentPoint(ValueError):
     pass
 
 
@@ -69,7 +65,6 @@ class ReductionPlan:
     value: mpf
 
     def as_dict(self) -> dict:
-        from .report import fmt_num
         return {
             "target": {**{k: fmt_num(v) for k, v in self.target.params().items()},
                        "i": self.target.i, "j": self.target.j},
@@ -111,14 +106,12 @@ def eval_point(p: WatsonPoint, ctx: PrecisionCtx, tol=None,
                use_closed_forms: bool = False) -> EvalResult:
     """Evaluate f_{i,j}(a,b,c) by eval_unit: exact rational summation when the
     series terminates with exact data, otherwise series evaluation.
+    DivergentSeries when the series neither ends nor converges.
 
     use_closed_forms has no effect; it is kept only because
     perfbench/workloads.py and perfbench/checks.py still pass it.
     """
-    try:
-        return eval_unit(to_pfq(p), ctx, tol=tol)
-    except DivergentSeries as exc:
-        raise DivergentPoint(str(exc)) from exc
+    return eval_unit(to_pfq(p), ctx, tol=tol)
 
 
 def _point_value(f: PFQ, ctx: PrecisionCtx, tol):

@@ -97,9 +97,6 @@ class RelationReport:
 
     relation_id: str
     anchor: str
-    seed: int
-    digits: int
-    n_requested: int
     samples: Tuple[RelationInstance, ...]
     verdict: str                    # identity | not_identity | inconclusive
     worst_rel_residual: object

@@ -410,11 +410,6 @@ def _raw(values) -> list:
     return [to_mpf_ambient(v)._mpf_ for v in values]
 
 
-def _round_to_ctx(ctx: PrecisionCtx, x) -> mpf:
-    with ctx.working():
-        return +to_mpf_ambient(x)
-
-
 def _finite_sum_result(c: Classification, ctx: PrecisionCtx) -> EvalResult:
     m = c.m
     if c.excess is not None:
@@ -423,7 +418,7 @@ def _finite_sum_result(c: Classification, ctx: PrecisionCtx) -> EvalResult:
         exact = _exact_sum(c)
         value = ctx.mpf(exact)
         bound = abs(value) * mpf(10) ** (-ctx.digits) if value != 0 else mpf(0)
-        return EvalResult(value, _round_to_ctx(ctx, bound), m + 1, "exact_rational",
+        return EvalResult(value, ctx.mpf(bound), m + 1, "exact_rational",
                           True, exact_value=exact)
     with ctx.working(10):
         prec = mpmath.mp.prec
@@ -433,8 +428,7 @@ def _finite_sum_result(c: Classification, ctx: PrecisionCtx) -> EvalResult:
             total = _add(*total, *t, prec)
         total = _make_mpf(from_man_exp(*total))
         bound = abs(total) * mpf(10) ** (-(ctx.digits + 2))
-    return EvalResult(_round_to_ctx(ctx, total), _round_to_ctx(ctx, bound),
-                      m + 1, "direct", True)
+    return EvalResult(ctx.mpf(total), ctx.mpf(bound), m + 1, "direct", True)
 
 
 def default_tolerance(ctx: PrecisionCtx) -> mpf:
@@ -527,8 +521,7 @@ def eval_general(f: PFQ, ctx: PrecisionCtx, tol=None) -> EvalResult:
                 if mpf_le(bound, tol_r):
                     break
         total, bound = _make_mpf(total), _make_mpf(bound)
-    return EvalResult(_round_to_ctx(ctx, total), _round_to_ctx(ctx, bound), used,
-                      "direct", bool(bound <= tol))
+    return EvalResult(ctx.mpf(total), ctx.mpf(bound), used, "direct", bool(bound <= tol))
 
 
 def _direct_unit(f: PFQ, ctx: PrecisionCtx, tol, max_terms: int, s) -> Optional[EvalResult]:
@@ -667,8 +660,7 @@ def _direct_sum(f: PFQ, ctx: PrecisionCtx, tol, max_terms: int, s) -> Optional[E
         if mpf_gt(bound, tol_r):
             return None
         total, bound = _make_mpf(total), _make_mpf(bound)
-    return EvalResult(_round_to_ctx(ctx, total), _round_to_ctx(ctx, bound), used,
-                      "direct", True)
+    return EvalResult(ctx.mpf(total), ctx.mpf(bound), used, "direct", True)
 
 
 def _levin_coeff(k: int, n: int, prec: int) -> tuple:
@@ -926,5 +918,4 @@ def _accelerated_unit(f: PFQ, ctx: PrecisionCtx, tol, max_partial: int) -> EvalR
     if value is None:
         raise SeriesError("extrapolation produced no estimate")
     converged = bool(bound <= tol)
-    return EvalResult(_round_to_ctx(ctx, value), _round_to_ctx(ctx, bound), M,
-                      "accelerated", converged)
+    return EvalResult(ctx.mpf(value), ctx.mpf(bound), M, "accelerated", converged)

@@ -38,18 +38,11 @@ from . import closedform, lattice
 from .mpnum import (NumeratorPole, PrecisionCtx, gamma_product, nearest_nonpos_int,
                     to_mpf_ambient)
 from .report import RelationInstance, RelationReport, finish_instance
-from .series import (PFQ, DivergentSeries, SeriesError, eval_exact,
-                     eval_general, eval_unit)
+from .series import PFQ, SeriesError, eval_exact, eval_general, eval_unit
 
 MASK64 = (1 << 64) - 1
 DEFAULT_WINDOW = (0.75, 3.0)
 GRID = tuple((i, j) for i in range(-5, 6) for j in range(-3, 4))
-
-# the special-case instances, in their published order
-CASE_ORDER = ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0),
-              (-1, 0), (-2, 0), (-3, 0), (-4, 0), (-5, 0),
-              (0, 1), (1, 1), (2, 1),
-              (0, -1), (1, -1), (2, -1), (1, -2), (-1, -2))
 
 
 class UnknownRelation(KeyError):
@@ -268,7 +261,7 @@ def _closed_form_instance(form_id: str, sample: dict, ctx: PrecisionCtx, tol) ->
         f = lattice.to_pfq(lattice.WatsonPoint(a, b, c, 0, _FORM_ROW_J[form_id]))
     try:
         series = eval_unit(f, ctx, tol=tol)
-    except (DivergentSeries, SeriesError) as exc:
+    except SeriesError as exc:
         return _failed_instance(form_id, params, None, f"series side: {exc}")
     exact = series.exact_value is not None
     rhs = series.exact_value if exact else series.value
@@ -309,14 +302,14 @@ def _thomae_instance(sample: dict, ctx: PrecisionCtx, tol) -> RelationInstance:
         pref_dens = [am, bm + s, cm + s]
     try:
         left = eval_unit(lhs_f, ctx, tol=tol)
-    except (DivergentSeries, SeriesError) as exc:
+    except SeriesError as exc:
         return _failed_instance("thomae", params, None, f"lhs series: {exc}")
     try:
         pref = gamma_product(pref_nums, pref_dens, ctx)
         right = eval_unit(rhs_f, ctx, tol=tol)
     except NumeratorPole as exc:
         return _failed_instance("thomae", params, None, f"prefactor pole: {exc}")
-    except (DivergentSeries, SeriesError) as exc:
+    except SeriesError as exc:
         return _failed_instance("thomae", params, None, f"rhs series: {exc}")
     with ctx.working(8):
         rhs = +(pref * right.value)
@@ -439,6 +432,7 @@ _PRINTED_CASES = {
     (1, -2): ((2, -1), (2, -2), (4, 0), _coeff_jm2(1)),
     (-1, -2): ((0, -1), (0, -2), (2, 0), _coeff_jm2(-1)),
 }
+CASE_ORDER = tuple(_PRINTED_CASES)
 
 _COEFF_TEST_POINTS = (
     (Fraction(2, 7), Fraction(3, 5), Fraction(5, 3)),
@@ -711,8 +705,7 @@ def _run_tasks(tasks, pool):
         return [_evaluate_task(t) for t in tasks]
 
 
-def _judged(rel: RelationDef, seed: int, ctx: PrecisionCtx, n_requested: int,
-            instances, minimum: int) -> RelationReport:
+def _judged(rel: RelationDef, ctx: PrecisionCtx, instances, minimum: int) -> RelationReport:
     """The report on a relation's evaluated instances, under the one verdict
     rule stated in check_relation."""
     identity_floor = 10.0 ** (-ctx.digits / 3)
@@ -740,9 +733,8 @@ def _judged(rel: RelationDef, seed: int, ctx: PrecisionCtx, n_requested: int,
     else:
         verdict = "inconclusive"
     return RelationReport(
-        relation_id=rel.relation_id, anchor=rel.anchor, seed=seed, digits=ctx.digits,
-        n_requested=n_requested, samples=tuple(instances), verdict=verdict,
-        worst_rel_residual=worst, counterexample=counterexample,
+        relation_id=rel.relation_id, anchor=rel.anchor, samples=tuple(instances),
+        verdict=verdict, worst_rel_residual=worst, counterexample=counterexample,
         transcription_flags=tuple(rel.transcription()) if rel.transcription else (),
         n_converged=n_conv)
 
@@ -778,7 +770,7 @@ def check_relation(relation_id: str, n_samples: int, seed: int, ctx: PrecisionCt
         minimum = n_samples
     tasks = [(relation_id, k, kind, sample, rel_seed, ctx)
              for k, (kind, sample) in enumerate(work)]
-    return _judged(rel, seed, ctx, n_samples, _run_tasks(tasks, pool), minimum)
+    return _judged(rel, ctx, _run_tasks(tasks, pool), minimum)
 
 
 def run_suite(seed: int, ctx: PrecisionCtx, samples: int = 100,

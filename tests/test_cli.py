@@ -49,8 +49,9 @@ def test_eval_rational_params(capsys):
 
 
 def test_digits_floor_rejected(capsys):
-    code, _, _ = run(capsys, "suite", "--digits", "10")
+    code, _, err = run(capsys, "suite", "--digits", "10")
     assert code == 2
+    assert err == "error: digits must lie in [15, 1000], got 10\n"
     code, _, _ = run(capsys, "eval", "-a", "1", "-b", "1", "-c", "1", "--digits", "2000")
     assert code == 2
 
@@ -68,7 +69,7 @@ _hostile_param = st.one_of(
        c=st.one_of(_hostile_param, st.none()),
        eps=st.sampled_from([Fraction(0), Fraction(1, 10 ** 9), Fraction(-1, 10 ** 9),
                             Fraction(1, 10 ** 12), Fraction(-1, 10 ** 12)]),
-       i=st.one_of(st.just(0), st.integers(-6, 6)),         # reduce needs i = 0, j >= 0
+       i=st.one_of(st.just(0), st.integers(-6, 6)),         # reduce has no -i; it needs j >= 0
        j=st.one_of(st.integers(0, 4), st.integers(-4, 4)), digits=st.integers(15, 20),
        guard=st.sampled_from(["0", "0.05", "0.4999"]))
 @settings(max_examples=300, deadline=None)
@@ -76,9 +77,12 @@ def test_hostile_eval_and_reduce_end_cleanly(command, a, b, c, eps, i, j, digits
     """Points at the pole guard's edge, margins near 0 and (i, j) in the grid and just
     outside it end in an exit code, never a traceback.  With c drawn as None, c is set
     so that the margin c + j + (i+1)/2 - (a+b)/2 is eps."""
+    if command == "reduce":
+        i = 0
     if c is None:
         c = (a + b) / 2 - j - Fraction(i + 1, 2) + eps
-    argv = [command, f"-a={a}", f"-b={b}", f"-c={c}", f"-i={i}", f"-j={j}",
+    index = [f"-i={i}"] if command == "eval" else []
+    argv = [command, f"-a={a}", f"-b={b}", f"-c={c}", *index, f"-j={j}",
             "--digits", str(digits), "--pole-guard", guard]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
@@ -86,14 +90,13 @@ def test_hostile_eval_and_reduce_end_cleanly(command, a, b, c, eps, i, j, digits
 
 
 @pytest.mark.parametrize("command", [["eval", "-a", "1", "-b", "1", "-c", "1"],
-                                     ["check", "watson_00"],
-                                     ["suite"],
+                                     ["check", "watson_00", "--samples", "1"],
+                                     ["suite", "--samples", "1"],
                                      ["reduce", "-a", "1", "-b", "1", "-c", "1", "-j", "1"]],
                          ids=lambda argv: argv[0])
 @pytest.mark.parametrize("guard", ["0.6", "0.5", "-1", "nan"])
 def test_pole_guard_out_of_range_rejected(capsys, command, guard):
-    code, out, err = run(capsys, *command, "--digits", "20", "--samples", "1",
-                         "--pole-guard", guard)
+    code, out, err = run(capsys, *command, "--digits", "20", "--pole-guard", guard)
     assert code == 2
     assert out == ""
     assert err.startswith("error: pole_guard must lie in [0, 0.5)")
@@ -111,6 +114,35 @@ def test_check_at_the_pole_guard_edges_ends_cleanly(capsys, relation, guard, sam
     if relation == "recurrence_16":
         failed = [s for s in json.loads(out)["samples"] if s["note"].startswith("no admissible")]
         assert [(s["kind"], s["converged"]) for s in failed] == [("sample", False)]
+
+
+@given(relation=st.sampled_from(SUITE_ORDER),
+       guard=st.sampled_from(["0", "0.3", "0.45", "0.4999"]),
+       seed=st.sampled_from([-1, 0, 0xFFFFFFFFFFFFFFFFFF]), digits=st.integers(15, 30))
+@settings(max_examples=25, deadline=None)
+def test_hostile_check_ends_cleanly(relation, guard, seed, digits):
+    """Every relation at the pole guard's extremes, with seeds outside 64 bits,
+    ends in a verdict, never a usage error or a traceback."""
+    argv = ["check", relation, "--pole-guard", guard, f"--seed={seed}",
+            "--digits", str(digits), "--samples", "1", "--threads", "1"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 3), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--seed", "1"], ["eval", "--samples", "1"], ["eval", "--threads", "1"],
+    ["eval", "--output", "csv"],
+    ["reduce", "-j", "1", "--seed", "1"], ["reduce", "-j", "1", "--samples", "1"],
+    ["reduce", "-j", "1", "--threads", "1"], ["reduce", "-j", "1", "-i", "0"],
+    ["check", "gauss", "--output", "table"], ["suite", "--output", "text"]],
+    ids=" ".join)
+def test_commands_refuse_options_they_do_not_read(capsys, argv):
+    if argv[0] in ("eval", "reduce"):
+        argv = argv[:1] + ["-a", "1", "-b", "1", "-c", "1"] + argv[1:]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "error:" in err
 
 
 def test_check_unknown_relation(capsys):
@@ -224,10 +256,11 @@ def test_suite_writes_report_and_passes(small_suite, capsys):
 
 
 def test_suite_byte_identical_and_thread_independent(small_suite, tmp_path, capsys):
+    # json is the default format: naming it changes no byte
     _, blob = small_suite
     p2 = tmp_path / "again.json"
     code = main(["suite", "--digits", "20", "--samples", "4", "--seed", "7",
-                 "--out", str(p2), "--threads", "2"])
+                 "--out", str(p2), "--threads", "2", "--output", "json"])
     assert code == 0
     assert p2.read_bytes() == blob
 
@@ -374,5 +407,3 @@ def test_suite_table_is_the_check_text_of_every_relation(capsys):
         identity &= rc == 0 or rid not in EXPECTED_IDENTITY
     assert table == "".join(texts)
     assert code == (0 if identity else 1)
-    _, out, _ = run(capsys, "check", "gauss", "--output", "table", "--samples", "1", *common)
-    assert out == texts[0]

@@ -157,8 +157,7 @@ def test_forms_agree_with_series(form_id):
 
 
 def _report(form_id, verdict, n_converged, worst):
-    return RelationReport(relation_id=form_id, anchor="", seed=1, digits=30,
-                          n_requested=n_converged, samples=(), verdict=verdict,
+    return RelationReport(relation_id=form_id, anchor="", samples=(), verdict=verdict,
                           worst_rel_residual=worst, counterexample=None,
                           n_converged=n_converged)
 

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mpf
 
-from watsonlab import lattice, mpnum, series
-from watsonlab.lattice import (DivergentPoint, PreconditionViolation,
-                               UnsupportedIndex, WatsonPoint, eval_point,
-                               margin, recurrence_residual, reduce_to_watson,
+from watsonlab import closedform, lattice, mpnum, series
+from watsonlab.lattice import (PreconditionViolation, UnsupportedIndex, WatsonPoint,
+                               eval_point, margin, recurrence_residual, reduce_to_watson,
                                three_term_corrected, three_term_printed, to_pfq)
 from watsonlab.mpnum import PrecisionCtx
-from watsonlab.series import SeriesError, eval_unit
+from watsonlab.series import DivergentSeries, SeriesError, eval_unit
 
 CTX = PrecisionCtx(digits=30)
 
@@ -119,8 +118,20 @@ def test_eval_point_near_pole_denominator_falls_through_to_series():
 
 
 def test_eval_point_divergent():
-    with pytest.raises(DivergentPoint):
+    with pytest.raises(DivergentSeries):
         eval_point(WatsonPoint(2, 2, 1, 0, 0), CTX)
+
+
+# Defect E: at margins s >= 50 the direct route reports a tail bound below its
+# error against Watson's closed form (2.5e-28 against 9.55e-29 at the first point)
+@pytest.mark.xfail(strict=True, reason="Defect E: direct-route tail bound fails at s >= 50")
+@pytest.mark.parametrize("a, b, c, digits", [(1000, 1, 1000, 30),
+                                             (Fraction(1, 2), Fraction(1, 4), 200, 15)])
+def test_eval_point_bound_covers_watson_at_large_margin(a, b, c, digits):
+    res = eval_point(WatsonPoint(a, b, c, 0, 0), PrecisionCtx(digits=digits))
+    ref = closedform.watson_00(a, b, c, PrecisionCtx(digits=80))
+    with mpmath.workdps(90):
+        assert abs(res.value - ref) <= res.abs_err_bound
 
 
 def test_recurrence_exact_probes():
