@@ -121,8 +121,8 @@ def test_check_at_the_pole_guard_edges_ends_cleanly(capsys, relation, guard, sam
        seed=st.sampled_from([-1, 0, 0xFFFFFFFFFFFFFFFFFF]), digits=st.integers(15, 30))
 @settings(max_examples=25, deadline=None)
 def test_hostile_check_ends_cleanly(relation, guard, seed, digits):
-    """Every relation at the pole guard's extremes, with seeds outside 64 bits,
-    ends in a verdict, never a usage error or a traceback."""
+    """Every relation at the pole guard's extremes, with a negative, a zero or a
+    wider-than-64-bit seed, ends in a verdict, never a usage error or a traceback."""
     argv = ["check", relation, "--pole-guard", guard, f"--seed={seed}",
             "--digits", str(digits), "--samples", "1", "--threads", "1"]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -136,7 +136,7 @@ def test_hostile_check_ends_cleanly(relation, guard, seed, digits):
     ["reduce", "-j", "1", "--seed", "1"], ["reduce", "-j", "1", "--samples", "1"],
     ["reduce", "-j", "1", "--threads", "1"], ["reduce", "-j", "1", "-i", "0"],
     ["check", "gauss", "--output", "table"], ["suite", "--output", "text"]],
-    ids=" ".join)
+    ids=lambda argv: "_".join(a.lstrip("-") for a in argv))
 def test_commands_refuse_options_they_do_not_read(capsys, argv):
     if argv[0] in ("eval", "reduce"):
         argv = argv[:1] + ["-a", "1", "-b", "1", "-c", "1"] + argv[1:]
