@@ -76,7 +76,7 @@ def frozen_levin_scan(terms, tol, beta=1):
     small_streak = 0
     quarter_tol = tol / 4
     for k in range(1, M):
-        coeffs = series._LEVIN_COEFFS.row(k, prec, M - k)
+        coeffs = series._levin_row(k, prec, M - k)
         for n in range(M - k):
             b = coeffs[n]
             N[n] = mpf_sub(N[n + 1], mpf_mul(b, N[n], prec, _RND), prec, _RND)

@@ -34,11 +34,10 @@ every float rounding, that the loop would give up at its first projection
 (n = 64); only then is the loop skipped, so every result is the loop's.
 
 The Levin weights depend only on (order k, index n, working precision), never
-on the series, so they are memoised in :class:`_LevinCoefficients`: one list
-per (k, precision), filled lazily on first use and holding exactly
-the values :func:`_levin_coeff` rounds.  The memo holds at most
-``_LEVIN_MEMO_CAP`` coefficients in all; the oldest precision is evicted to make
-room, and a row that cannot fit even then is computed without being stored.
+on the series, so :func:`_levin_row` memoises them: one list per (precision, k),
+holding exactly the values :func:`_levin_coeff` rounds.  A row is computed
+whole on a miss and replaced, never extended.  The memo holds at most
+``_LEVIN_MEMO_CAP`` coefficients; a row that would pass the cap empties it.
 The whole accelerated route runs on signed integer mantissas and exponents;
 only the returned estimate and bound are packed into mpf.  The tableau is two
 plain int lists per array, built by counter-diagonals (Weniger 1989; see
@@ -676,54 +675,31 @@ def _levin_coeff(k: int, n: int, prec: int) -> tuple:
     return mpf_div(from_int(p, prec, _RND), from_int(q, prec, _RND), prec, _RND)
 
 
-class _LevinCoefficients:
-    """Lazily filled memo of Levin coefficients, one list over n per (k, prec).
+_LEVIN_MEMO = {}               # prec -> {k: [coefficient for n = 0, 1, ...]}
+_LEVIN_LOCK = threading.Lock()
 
-    At most ``cap`` coefficients are held.  Room is made by evicting whole
-    precisions, oldest first; a row that would not fit even alone with its own
-    precision is returned without being stored.  Rows are replaced, never
-    extended in place, so a reader never sees a half-built row.
+
+def _levin_row(k: int, prec: int, length: int) -> list:
+    """Levin coefficients at order k and prec for n = 0 .. length-1 (at least).
+
+    A row held in :data:`_LEVIN_MEMO` is returned when it is long enough;
+    otherwise the whole row is computed and stored in place of the shorter one.
+    The memo is emptied first if the coefficients it holds plus this row would
+    pass ``_LEVIN_MEMO_CAP``; a row longer than the cap on its own is not stored.
     """
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.size = 0
-        self._tables = {}      # prec -> {k: [coefficient for n = 0, 1, ...]}
-        self._sizes = {}       # prec -> coefficients held for it
-        self._lock = threading.Lock()
-
-    def row(self, k: int, prec: int, length: int) -> list:
-        """Coefficients for n = 0 .. length-1 (at least) at order k."""
-        table = self._tables.get(prec)
-        row = table.get(k) if table is not None else None
+    table = _LEVIN_MEMO.get(prec)
+    if table is not None:
+        row = table.get(k)
         if row is not None and len(row) >= length:
             return row
-        with self._lock:
-            return self._fill(k, prec, length)
-
-    def _fill(self, k, prec, length) -> list:
-        table = self._tables.get(prec, {})
-        old = table.get(k, [])
-        if len(old) >= length:
-            return old
-        row = old + [_levin_coeff(k, n, prec) for n in range(len(old), length)]
-        extra = len(row) - len(old)
-        if self._sizes.get(prec, 0) + extra > self.cap:
-            return row
-        for other in list(self._tables):
-            if self.size + extra <= self.cap:
-                break
-            if other != prec:
-                del self._tables[other]
-                self.size -= self._sizes.pop(other)
-        table[k] = row
-        self._tables[prec] = table
-        self._sizes[prec] = self._sizes.get(prec, 0) + extra
-        self.size += extra
-        return row
-
-
-_LEVIN_COEFFS = _LevinCoefficients(_LEVIN_MEMO_CAP)
+    row = [_levin_coeff(k, n, prec) for n in range(length)]
+    if length <= _LEVIN_MEMO_CAP:
+        with _LEVIN_LOCK:
+            held = sum(len(r) for t in _LEVIN_MEMO.values() for r in t.values())
+            if held + length > _LEVIN_MEMO_CAP:
+                _LEVIN_MEMO.clear()
+            _LEVIN_MEMO.setdefault(prec, {})[k] = row
+    return row
 
 
 def _levin_climb(nm: list, ne: list, dm: list, de: list, rows: list, prec: int):
@@ -871,7 +847,7 @@ def _levin_scan(terms, M: int, tol):
         De.append(x[1])
         if not k:
             continue
-        rows.append(_LEVIN_COEFFS.row(k, prec, M - k))
+        rows.append(_levin_row(k, prec, M - k))
         _levin_climb(Nm, Ne, Dm, De, rows, prec)
         est = _div(Nm[0], Ne[0], Dm[0], De[0], prec) if Dm[0] else None
         ests.append(est)

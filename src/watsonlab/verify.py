@@ -95,14 +95,15 @@ class SampleConstraints:
     """What a relation demands of a random (a, b, c) triple.
 
     solve_c pins the relation's tightest constituent margin to the drawn s;
-    margins rechecks every constituent, pole_args lists all values that must
+    margins lists only the constituent margins solve_c does not fix, each of
+    which must not fall below the window; pole_args lists all values that must
     stay pole_guard away from the nonpositive integers, zero_args all factors
     that must stay away from zero.
     """
 
     solve_c: Callable
-    margins: Callable
     pole_args: Callable
+    margins: Callable = lambda a, b, c: []
     zero_args: Callable = lambda a, b, c: []
 
 
@@ -112,24 +113,24 @@ def sample_params(seed: int, index: int, constraints: SampleConstraints,
 
     The generator is splitmix64 seeded with seed XOR index; a and b are uniform
     on [0.1, 3.0], and c is solved so the tightest constituent margin hits the
-    drawn s in window = (s_lo, s_hi).  Bounded retries reject triples with any
-    gamma or series parameter too close to a pole, and raise SamplingExhausted
-    after 1000 (always, for an empty window).
+    drawn s in window = (s_lo, s_hi).  Bounded retries reject triples with a
+    margin of constraints.margins (those solve_c does not fix) below s_lo, or
+    with any gamma or series parameter too close to a pole, and raise
+    SamplingExhausted after 1000, or at once for an empty window.
     """
+    s_lo, s_hi = window
+    if s_lo > s_hi:
+        raise SamplingExhausted(f"empty margin window {window} (seed={seed}, index={index})")
     rng = SplitMix64((seed ^ index) & MASK64)
     guard = ctx.pole_guard
-    s_lo, s_hi = window
     with ctx.working():
         for _ in range(1000):
             a = rng.uniform("0.1", "3.0")
             b = rng.uniform("0.1", "3.0")
             s = rng.uniform(s_lo, s_hi)
             c = constraints.solve_c(a, b, s)
-            margins = [float(to_mpf_ambient(m)) for m in constraints.margins(a, b, c)]
-            if margins:
-                tightest = min(margins)
-                if not (s_lo - 1e-9 <= tightest <= s_hi + 1e-9):
-                    continue
+            if any(float(to_mpf_ambient(m)) < s_lo - 1e-9 for m in constraints.margins(a, b, c)):
+                continue
             if any(nearest_nonpos_int(v, guard) is not None
                    for v in constraints.pole_args(a, b, c)):
                 continue
@@ -159,10 +160,6 @@ class RelationDef:
     fixed_grid: Optional[Callable] = None      # (ctx) -> list of sample dicts
 
 
-def _margin_ij(i, j, a, b, c):
-    return to_mpf_ambient(c) + j + mpf(i + 1) / 2 - (to_mpf_ambient(a) + to_mpf_ambient(b)) / 2
-
-
 def _solve_c_ij(i, j):
     def solve(a, b, s):
         return s - j - mpf(i + 1) / 2 + (a + b) / 2
@@ -172,7 +169,6 @@ def _solve_c_ij(i, j):
 def _recurrence_constraints(i: int, j: int) -> SampleConstraints:
     return SampleConstraints(
         solve_c=_solve_c_ij(i, j),
-        margins=lambda a, b, c: [_margin_ij(i, j, a, b, c)],
         pole_args=lambda a, b, c: [a, b, c, a + 1, b + 1, c + 1,
                                    (a + b + i + 1) / 2, (a + b + i + 3) / 2,
                                    2 * c + j, 2 * c + j + 1, 2 * c + j + 2],
@@ -183,7 +179,6 @@ def _recurrence_constraints(i: int, j: int) -> SampleConstraints:
 def _three_term_constraints(i: int, j: int) -> SampleConstraints:
     return SampleConstraints(
         solve_c=_solve_c_ij(i, j),
-        margins=lambda a, b, c: [_margin_ij(i, j, a, b, c)],
         pole_args=lambda a, b, c: [a, b, c, a - 1, b + 1, c + 1,
                                    (a + b + i + 1) / 2, (a + b + i + 3) / 2,
                                    2 * c + j, 2 * c + j + 1],
@@ -198,7 +193,6 @@ def _form_constraints(form_id: str) -> SampleConstraints:
     if form_id == "gauss":
         return SampleConstraints(
             solve_c=lambda a, b, s: s + a + b,
-            margins=lambda a, b, c: [c - a - b],
             pole_args=lambda a, b, c: [a, b, c, c - a - b, c - a, c - b],
         )
     j0 = _FORM_ROW_J[form_id]
@@ -206,7 +200,7 @@ def _form_constraints(form_id: str) -> SampleConstraints:
 
     def pole_args(a, b, c):
         args = [a, b, c, (a + b + 1) / 2, 2 * c + j0,
-                (a + b + 1) / 2, c - (a + b) / 2 + (half if j0 >= 0 else -half)]
+                c - (a + b) / 2 + (half if j0 >= 0 else -half)]
         if form_id == "watson_00":
             args += [c + half, (a + 1) / 2, (b + 1) / 2, c - a / 2 + half, c - b / 2 + half]
         elif form_id == "lavoie_plus":
@@ -219,7 +213,6 @@ def _form_constraints(form_id: str) -> SampleConstraints:
 
     return SampleConstraints(
         solve_c=_solve_c_ij(0, j0),
-        margins=lambda a, b, c: [_margin_ij(0, j0, a, b, c)],
         pole_args=pole_args,
     )
 
@@ -233,8 +226,8 @@ def _thomae_constraints() -> SampleConstraints:
 
     return SampleConstraints(
         solve_c=_solve_c_ij(0, 0),
-        margins=lambda a, b, c: [_margin_ij(0, 0, a, b, c), to_mpf_ambient(a)],
         pole_args=pole_args,
+        margins=lambda a, b, c: [a],
     )
 
 

@@ -492,7 +492,7 @@ def test_levin_scan_draws_terms_only_to_its_break(monkeypatch):
     M = 32
     prec = int((30 + int(0.55 * M) + 15) * 3.3322) + 20    # as _accelerated_unit at digits 30
     orders, pulled = [], []
-    real_row = series._LEVIN_COEFFS.row
+    real_row = series._levin_row
 
     def row(k, prec, length):
         orders.append(k)
@@ -503,7 +503,7 @@ def test_levin_scan_draws_terms_only_to_its_break(monkeypatch):
             pulled.append(t)
             yield t
 
-    monkeypatch.setattr(series._LEVIN_COEFFS, "row", row)
+    monkeypatch.setattr(series, "_levin_row", row)
     with mpmath.workprec(prec):
         terms = series._terms(series._raw(f.numerators), series._raw(f.denominators), None, prec)
         new = series._levin_scan(counted(islice(terms, M)), M, tol)
@@ -928,9 +928,13 @@ def test_levin_coefficients_equal_mpf_form():
     for prec in (113, 226, 286):
         with mpmath.workprec(prec):
             for k in range(1, 40):
-                row = series._LEVIN_COEFFS.row(k, prec, 40 - k)
+                row = series._levin_row(k, prec, 40 - k)
                 assert [mpmath.mp.make_mpf(c) for c in row[:40 - k]] == \
                     [_frozen_levin_coeff(k, n) for n in range(40 - k)]
+
+
+def _memo_held():
+    return sum(len(row) for table in series._LEVIN_MEMO.values() for row in table.values())
 
 
 def test_levin_memo_stays_within_cap(monkeypatch):
@@ -940,18 +944,42 @@ def test_levin_memo_stays_within_cap(monkeypatch):
         c = PrecisionCtx(digits=digits)
         for f, _ in points:
             eval_unit(f, c)
-    assert 0 < series._LEVIN_COEFFS.size <= series._LEVIN_MEMO_CAP
-    # a small cap forces evictions and rows too long to store; values stay exact
-    small = series._LevinCoefficients(600)
-    monkeypatch.setattr(series, "_LEVIN_COEFFS", small)
+    assert 0 < _memo_held() <= series._LEVIN_MEMO_CAP
+    # a small cap forces the memo to be emptied; values stay exact
+    monkeypatch.setattr(series, "_LEVIN_MEMO_CAP", 600)
+    monkeypatch.setattr(series, "_LEVIN_MEMO", {})
     tol = ctx.mpf(mpf(10) ** -20)
     for digits in (20, 30, 45):
         c = PrecisionCtx(digits=digits)
         for f, _ in points:
             _same(_accelerated_unit(f, c, tol, 2000),
                   _frozen_accelerated_unit(f, c, tol, 2000))
-            assert small.size <= 600
-    assert len(small._tables) <= 2
+            assert 0 < _memo_held() <= 600
+    # a row longer than the cap alone is returned but not stored
+    held = _memo_held()
+    assert len(series._levin_row(3, 113, 601)) == 601
+    assert 3 not in series._LEVIN_MEMO.get(113, {}) and _memo_held() == held
+
+
+def test_levin_memo_reuses_rows(monkeypatch):
+    """A second evaluation of the same points computes no coefficient."""
+    ctx = PrecisionCtx(digits=30)
+    points = _watson_points(ctx, 5, 3)
+    computed = [0]
+    real_coeff = series._levin_coeff
+
+    def coeff(k, n, prec):
+        computed[0] += 1
+        return real_coeff(k, n, prec)
+
+    monkeypatch.setattr(series, "_levin_coeff", coeff)
+    monkeypatch.setattr(series, "_LEVIN_MEMO", {})
+    first = [eval_unit(f, ctx) for f, _ in points]
+    assert computed[0] > 0 and {r.method for r in first} == {"accelerated"}
+    computed[0] = 0
+    for (f, _), old in zip(points, first):
+        _same(eval_unit(f, ctx), old)
+    assert computed[0] == 0
 
 
 # --- classification against frozen copies of the per-call helpers it replaced ---
