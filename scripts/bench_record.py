@@ -17,9 +17,10 @@ Beside the gain rule it gives each pair's ratio change/parent, with the
 median and quartiles of those ratios: a host that drifts during a record
 widens the parent's spread, but each pair runs both sides back to back, so
 the ratios keep the change apart from the drift.
-Each run also records its pass count, read from run.py's wall_s line: a
-faster program fits more passes into run_seconds, and perfbench keeps every
-pass's reports, so peak_rss_mb is read beside it.
+Each run also records its pass count, read from run.py's wall_s line, and
+each workload the median pass count per side, printed as `passes 24 -> 30`:
+a faster program fits more passes into run_seconds, and perfbench keeps
+every pass's reports, so peak_rss_mb is read beside it.
 It also holds each checkout's commit and the line count of its
 src/watsonlab, as that checkout's perfbench/collect.py counts it.
 
@@ -29,6 +30,7 @@ src/watsonlab, as that checkout's perfbench/collect.py counts it.
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 import time
@@ -102,6 +104,15 @@ def summarize(pairs, spec) -> dict:
     return out
 
 
+def median_passes(pairs) -> dict:
+    """Each side's median pass count over the runs that printed one."""
+    out = {}
+    for side in ("parent", "change"):
+        counts = [p[side]["passes"] for p in pairs if p[side].get("passes") is not None]
+        out[side] = statistics.median(counts) if counts else None
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -138,12 +149,14 @@ def main(argv=None):
             "all_correct": ok,
             "report_sha256": {s: sorted({p[s]["report_sha256"] for p in pairs} - {None})
                               for s in dirs},
+            "passes": median_passes(pairs),
             "metrics": summarize(pairs, spec) if ok else None,
             "pairs": pairs,
         }
     out = args.out or Path(f"BENCH_{record['change']['sha']}.json")
     out.write_text(json.dumps(record, indent=1) + "\n")
     for workload, w in record["workloads"].items():
+        print(f"{workload:13s} passes {w['passes']['parent']} -> {w['passes']['change']}")
         for name, m in (w["metrics"] or {}).items():
             pct = "n/a" if m["change_pct"] is None else f"{m['change_pct']:+.1f}%"
             r = m["ratio"]

@@ -6,12 +6,19 @@ decimal ``digits`` are honest) and the pole guard used to decide when a gamma
 argument counts as a pole.  Decimal text is presentation only; all arithmetic
 is binary floating point.
 
-Log-gamma is mpmath's ``loggamma``; this module adds the pole test, the
+Log-gamma is mpmath's log-gamma core; this module adds the pole test, the
 reflection below 1/2 that yields the sign of Gamma, and the final rounding to
 the context.  It runs at 12 guard digits, which loggamma does not need for
 accuracy: they keep the rounded values, bit for bit, those of the Stirling
 series reference frozen in the tests, so report bytes do not depend on the
-kernel.
+kernel.  ln_gamma and gamma_product work on raw libmp tuples at explicit
+precisions, rounding to nearest: each libmp call is the one the mpmath-level
+expression (``mpmath.loggamma(+v)``, ``mpmath.sinpi``, ``exp`` of the summed
+logs) makes at that precision, without its wrappers and precision switches.
+Two constants are kept per precision, filled on first use: ln pi at
+ln_gamma's working precision, and the GammaFactor of 1/2 (never a pole, as
+the guard is below 1/2).  gamma_product still raises NumeratorPole inside its
+guard block, because the message prints the arguments at that precision.
 
 Everything here is a pure function of its inputs plus the context, so values
 can be shared freely across threads.
@@ -26,10 +33,15 @@ from typing import Optional, Sequence
 
 import mpmath
 from mpmath import mpf
-from mpmath.libmp import from_float, from_int, mpf_abs, mpf_le, mpf_sub, round_nearest, to_int
+from mpmath.libmp import (fhalf, fone, from_float, from_int, fzero, mpf_abs, mpf_add, mpf_div,
+                          mpf_exp, mpf_floor, mpf_ge, mpf_le, mpf_log, mpf_loggamma, mpf_neg,
+                          mpf_pi, mpf_pos, mpf_sin_pi, mpf_sub, round_nearest, to_int)
 
 _LN_DIGITS_GUARD = 12   # extra decimal digits carried inside ln_gamma
 _PRODUCT_GUARD = 15     # extra decimal digits carried inside gamma_product
+_RND = round_nearest
+_make_mpf = mpmath.mp.make_mpf
+_CONSTANTS = {}         # (name, prec) -> ln pi or the GammaFactor of 1/2, filled on use
 
 
 class NumeratorPole(ValueError):
@@ -57,14 +69,19 @@ def bits_for_digits(digits: int) -> int:
     return int(digits * 3.3322) + 8
 
 
-def to_mpf_ambient(x) -> mpf:
-    """Convert to mpf rounding at the precision currently in effect."""
+def _raw_mpf(x, prec: int) -> tuple:
+    """The raw mpf of x rounded to nearest at prec; an mpf is taken as it is."""
     r = as_rational(x)
     if r is not None:
-        return mpf(r.numerator) / r.denominator
+        return mpf_div(from_int(r.numerator, prec, _RND), from_int(r.denominator), prec, _RND)
     if isinstance(x, mpf):
-        return x
-    return +mpf(x)
+        return x._mpf_
+    return mpf(x, prec=prec)._mpf_
+
+
+def to_mpf_ambient(x) -> mpf:
+    """Convert to mpf rounding at the precision currently in effect."""
+    return x if isinstance(x, mpf) else _make_mpf(_raw_mpf(x, mpmath.mp.prec))
 
 
 def nearest_nonpos_int(x, guard) -> Optional[int]:
@@ -78,10 +95,15 @@ def nearest_nonpos_int(x, guard) -> Optional[int]:
     if not isinstance(x, mpf):
         r = as_rational(x)
         if r is not None:
+            if r >= 1 > guard:
+                return None
             k = min(0, round(r))
             return k if abs(r - k) <= Fraction(guard) else None
         x = to_mpf_ambient(x)
     v = x._mpf_
+    # x >= 1 (sign 0, a nonzero mantissa, exp + bc > 0): k is 0 and |x| > guard
+    if not v[0] and v[1] and v[2] + v[3] > 0 and guard < 1:
+        return None
     k = min(0, to_int(v, round_nearest))
     return k if mpf_le(mpf_abs(mpf_sub(v, from_int(k))), from_float(guard)) else None
 
@@ -129,6 +151,28 @@ class GammaFactor:
     pole: bool
 
 
+def _constant(name: str, prec: int, compute):
+    key = (name, prec)
+    value = _CONSTANTS.get(key)
+    if value is None:
+        value = _CONSTANTS[key] = compute()
+    return value
+
+
+def _ln_gamma_raw(v: tuple, prec: int, wp: int) -> GammaFactor:
+    if mpf_ge(v, fhalf):
+        raw = mpf_loggamma(mpf_pos(v, wp, _RND), wp, _RND)
+        sign = 1
+    else:
+        m = to_int(mpf_floor(v, wp, _RND))
+        s = mpf_sin_pi(mpf_sub(v, from_int(m), wp, _RND), wp, _RND)
+        ln_pi = _constant("ln_pi", wp, lambda: mpf_log(mpf_pi(wp, _RND), wp, _RND))
+        raw = mpf_sub(mpf_sub(ln_pi, mpf_log(s, wp, _RND), wp, _RND),
+                      mpf_loggamma(mpf_sub(fone, v, wp, _RND), wp, _RND), wp, _RND)
+        sign = -1 if m % 2 else 1
+    return GammaFactor(value_ln=_make_mpf(mpf_pos(raw, prec, _RND)), sign=sign, pole=False)
+
+
 def ln_gamma(x, ctx: PrecisionCtx) -> GammaFactor:
     """ln|Gamma(x)| with sign tracking; reflection below 1/2, poles flagged as data.
 
@@ -137,19 +181,12 @@ def ln_gamma(x, ctx: PrecisionCtx) -> GammaFactor:
     """
     if ctx.near_nonpos_int(x) is not None:
         return GammaFactor(value_ln=mpmath.inf, sign=1, pole=True)
-    with ctx.working(_LN_DIGITS_GUARD):
-        v = to_mpf_ambient(x)
-        if v >= mpf(1) / 2:
-            raw = mpmath.loggamma(+v)
-            sign = 1
-        else:
-            m = int(mpmath.floor(v))
-            r = v - m
-            s = mpmath.sinpi(r)
-            raw = mpmath.log(mpmath.pi) - mpmath.log(s) - mpmath.loggamma(1 - v)
-            sign = 1 if m % 2 == 0 else -1
-    with ctx.working():
-        return GammaFactor(value_ln=+raw, sign=sign, pole=False)
+    prec = ctx.prec
+    wp = prec + int(_LN_DIGITS_GUARD * 3.3322)
+    v = _raw_mpf(x, wp)
+    if v == fhalf:
+        return _constant("ln_gamma_half", prec, lambda: _ln_gamma_raw(v, prec, wp))
+    return _ln_gamma_raw(v, prec, wp)
 
 
 def gamma_product(numerators: Sequence, denominators: Sequence, ctx: PrecisionCtx) -> mpf:
@@ -176,18 +213,17 @@ def gamma_product(numerators: Sequence, denominators: Sequence, ctx: PrecisionCt
         if near:
             raise NumeratorPole(f"denominator argument {near[0]} lies within "
                                 f"{ctx.pole_guard} of a pole but is not equal to it")
-        if any(g.pole for g in den):
-            zero = mpf(0)
-        else:
-            total = mpf(0)
-            for ln in sorted(g.value_ln for g in num):
-                total += ln
-            for ln in sorted(g.value_ln for g in den):
-                total -= ln
-            sign = 1
-            for g in num + den:
-                sign *= g.sign
-            zero = None
-            raw = sign * mpmath.exp(total)
-    with ctx.working():
-        return mpf(0) if zero is not None else +raw
+    if any(g.pole for g in den):
+        return _make_mpf(fzero)
+    prec = ctx.prec
+    wp = prec + int(_PRODUCT_GUARD * 3.3322)
+    total = fzero
+    for ln in sorted(g.value_ln for g in num):
+        total = mpf_add(total, ln._mpf_, wp, _RND)
+    for ln in sorted(g.value_ln for g in den):
+        total = mpf_sub(total, ln._mpf_, wp, _RND)
+    sign = 1
+    for g in num + den:
+        sign *= g.sign
+    raw = mpf_exp(total, wp, _RND)
+    return _make_mpf(mpf_pos(raw if sign > 0 else mpf_neg(raw), prec, _RND))

@@ -395,6 +395,25 @@ def test_bench_record_ratio_separates_a_gain_from_host_drift():
     assert wall["ratio"]["median"] == pytest.approx(0.85)
 
 
+def test_bench_record_gives_each_sides_median_pass_count():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record)
+    pairs = [{"parent": {"passes": p}, "change": {"passes": c}}
+             for p, c in ((24, 30), (26, 31), (17, 25), (25, 32))]
+    assert record.median_passes(pairs) == {"parent": 24.5, "change": 30.5}
+    # a run that printed no wall_s line has no pass count and is left out
+    pairs[0]["change"]["passes"] = None
+    pairs.append({"parent": {"passes": 20}, "change": {"passes": None}})
+    assert record.median_passes(pairs) == {"parent": 24, "change": 31}
+    none = [{"parent": {"passes": None}, "change": {"passes": None}}]
+    assert record.median_passes(none) == {"parent": None, "change": None}
+
+
 def test_suite_table_is_the_check_text_of_every_relation(capsys):
     common = ["--digits", "20", "--seed", "7", "--threads", "1"]
     code, table, _ = run(capsys, "suite", "--output", "table", "--samples", "1", *common)

@@ -4,9 +4,11 @@ from fractions import Fraction
 import mpmath
 import pytest
 from mpmath import mpf
+from mpmath.libmp import from_float, from_int, mpf_abs, mpf_le, mpf_sub, round_nearest, to_int
 
-from watsonlab.mpnum import (GammaFactor, NumeratorPole, PrecisionCtx, gamma_product,
-                             ln_gamma, nearest_nonpos_int, to_mpf_ambient)
+from watsonlab import closedform, mpnum, verify
+from watsonlab.mpnum import (GammaFactor, NumeratorPole, PrecisionCtx, as_rational,
+                             gamma_product, ln_gamma, nearest_nonpos_int, to_mpf_ambient)
 
 CTX = PrecisionCtx(digits=30)
 
@@ -227,3 +229,207 @@ def test_ln_gamma_at_1000_digits():
         with mpmath.workdps(1100):
             ref = mpmath.re(mpmath.loggamma(mpf(x.numerator) / x.denominator))
             assert abs(g.value_ln - ref) <= mpf(10) ** (5 - 1000)
+
+
+# ---------------------------------------------------------------------------
+# bit exactness of the raw-libmp kernel against the mpmath-level one
+#
+# Frozen copies of the pole test, ln_gamma and gamma_product as they were
+# written with mpmath-level arithmetic (workprec blocks, mpmath.loggamma,
+# sinpi, log, exp).  The kernel makes the same libmp calls on raw tuples, and
+# the pole test decides x >= 1 without arithmetic, so values, signs, pole
+# flags and NumeratorPole texts compare with ==.
+
+def _frozen_nearest_nonpos_int(x, guard):
+    if not isinstance(x, mpf):
+        r = as_rational(x)
+        if r is not None:
+            k = min(0, round(r))
+            return k if abs(r - k) <= Fraction(guard) else None
+        x = to_mpf_ambient(x)
+    v = x._mpf_
+    k = min(0, to_int(v, round_nearest))
+    return k if mpf_le(mpf_abs(mpf_sub(v, from_int(k))), from_float(guard)) else None
+
+
+def _frozen_mp_ln_gamma(x, ctx):
+    if _frozen_nearest_nonpos_int(x, ctx.pole_guard) is not None:
+        return GammaFactor(value_ln=mpmath.inf, sign=1, pole=True)
+    with ctx.working(12):
+        v = to_mpf_ambient(x)
+        if v >= mpf(1) / 2:
+            raw = mpmath.loggamma(+v)
+            sign = 1
+        else:
+            m = int(mpmath.floor(v))
+            s = mpmath.sinpi(v - m)
+            raw = mpmath.log(mpmath.pi) - mpmath.log(s) - mpmath.loggamma(1 - v)
+            sign = 1 if m % 2 == 0 else -1
+    with ctx.working():
+        return GammaFactor(value_ln=+raw, sign=sign, pole=False)
+
+
+def _frozen_mp_gamma_product(numerators, denominators, ctx):
+    with ctx.working(15):
+        num = [_frozen_mp_ln_gamma(v, ctx) for v in numerators]
+        den = [_frozen_mp_ln_gamma(v, ctx) for v in denominators]
+        num_poles = [v for v, g in zip(numerators, num) if g.pole]
+        if num_poles:
+            raise NumeratorPole(f"gamma pole in numerator at {num_poles}")
+        near = [v for v, g in zip(denominators, den)
+                if g.pole and _frozen_nearest_nonpos_int(v, 0) is None]
+        if near:
+            raise NumeratorPole(f"denominator argument {near[0]} lies within "
+                                f"{ctx.pole_guard} of a pole but is not equal to it")
+        if any(g.pole for g in den):
+            zero = mpf(0)
+        else:
+            total = mpf(0)
+            for ln in sorted(g.value_ln for g in num):
+                total += ln
+            for ln in sorted(g.value_ln for g in den):
+                total -= ln
+            sign = 1
+            for g in num + den:
+                sign *= g.sign
+            zero = None
+            raw = sign * mpmath.exp(total)
+    with ctx.working():
+        return mpf(0) if zero is not None else +raw
+
+
+def _product_outcome(product, nums, dens, ctx):
+    try:
+        return product(nums, dens, ctx)._mpf_
+    except NumeratorPole as exc:
+        return f"NumeratorPole: {exc}"
+
+
+def _closed_form_products(ctx, seed, monkeypatch):
+    """(nums, dens, ctx, ambient prec) of every gamma_product that the closed
+    forms and the thomae prefactor make at points from their own samplers."""
+    calls = []
+
+    def record(nums, dens, c):
+        calls.append((list(nums), list(dens), c, mpmath.mp.prec))
+        return gamma_product(nums, dens, c)
+
+    for form in ("gauss", "watson_00", "lavoie_plus", "lavoie_minus", "thomae"):
+        build = verify.RELATIONS[form].build_sample
+        for index in range(4):
+            s = build(index, seed, ctx, verify.DEFAULT_WINDOW)
+            if form == "thomae":       # the prefactor lists of verify._thomae_instance
+                with ctx.working(8):
+                    a, b, c = (to_mpf_ambient(s[k]) for k in "abc")
+                    d, e = (a + b + 1) / 2, 2 * c
+                    t = d + e - a - b - c
+                calls.append(([d, e, t], [a, b + t, c + t], ctx, mpmath.mp.prec))
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(closedform, "gamma_product", record)
+                try:
+                    closedform.FORM_FUNCS[form](s["a"], s["b"], s["c"], ctx)
+                except ValueError:     # a refused point still records its products
+                    pass
+    return calls
+
+
+def _mixed_products(ctx, seed):
+    """Argument lists of every kind the kernel takes: exact Fractions, mpf at
+    ctx.prec and at 2 ctx.prec (more bits than ln_gamma's working precision),
+    floats, with structural zeros, numerator poles and near-pole denominators."""
+    rng = random.Random(seed)
+    with mpmath.workprec(2 * ctx.prec):
+        wide = [mpf(rng.uniform(-9.0, 12.0)) / 3 for _ in range(12)]
+        wide_near = mpf(-39) / 40 + mpf(2) ** (-2 * ctx.prec + 8)
+    pool = (wide + [Fraction(rng.randint(-400, 600), rng.randint(1, 60)) for _ in range(12)]
+            + [ctx.mpf(rng.uniform(-9.0, 12.0)) for _ in range(12)]
+            + [rng.uniform(-9.0, 12.0) for _ in range(8)] + [Fraction(1, 2), 7, -0.5])
+    lists = [([rng.choice(pool) for _ in range(rng.randint(1, 4))],
+              [rng.choice(pool) for _ in range(rng.randint(0, 3))]) for _ in range(40)]
+    lists += [([Fraction(1, 2), wide[0]], [Fraction(-2)]),          # structural zero
+              ([Fraction(3, 2)], [mpf(-3), wide[1]]),
+              ([Fraction(-1), wide[2]], [Fraction(1, 2)]),          # numerator poles
+              ([ctx.mpf(-2.03), wide[3]], [wide[4]]),
+              ([Fraction(1, 2)], [Fraction(-39, 40)]),               # near-pole denominators
+              ([wide[5]], [wide_near, Fraction(1, 3)]),
+              ([-2.5], [-0.975])]
+    return [(nums, dens, ctx, mpmath.mp.prec) for nums, dens in lists]
+
+
+@pytest.mark.parametrize("digits", [15, 30, 100, 112, 200])
+def test_gamma_product_bit_exact_against_frozen_parent(digits, monkeypatch):
+    ctx = PrecisionCtx(digits=digits)
+    calls = (_closed_form_products(ctx, 5000 + digits, monkeypatch)
+             + _mixed_products(ctx, 6000 + digits))
+    outcomes, wide_reflected = set(), 0
+    for nums, dens, c, ambient in calls:
+        with mpmath.workprec(ambient):
+            new = _product_outcome(gamma_product, nums, dens, c)
+            old = _product_outcome(_frozen_mp_gamma_product, nums, dens, c)
+            assert new == old, (nums, dens)
+            for x in nums + dens:
+                g, f = ln_gamma(x, c), _frozen_mp_ln_gamma(x, c)
+                assert (g.pole, g.sign) == (f.pole, f.sign), x
+                assert g.pole or g.value_ln._mpf_ == f.value_ln._mpf_, x
+                wide_reflected += (isinstance(x, mpf) and not g.pole and x < 0.5
+                                   and x._mpf_[3] > c.prec + 39)
+        outcomes.add("pole" if isinstance(new, str) else "zero" if new == mpf(0)._mpf_
+                     else "value")
+    assert outcomes == {"pole", "zero", "value"}
+    assert wide_reflected >= 5
+
+
+_GUARDS = (0, 0.05, 0.4999, 0.5, 0.99, 1, 1.5)
+
+
+def _pole_test_inputs(seed):
+    rng = random.Random(seed)
+    with mpmath.workprec(200):
+        tiny = mpf(2) ** -rng.randint(100, 400)
+        huge = mpf(2) ** rng.randint(60, 400) + mpf(1) / 3
+        xs = [mpf(rng.uniform(-60.0, 60.0)) / 7 for _ in range(40)]
+        xs += [tiny, -tiny, huge, -huge, mpf(0)] + [mpf(k) for k in range(-4, 5)]
+        for k in range(-3, 3):
+            for g in _GUARDS:
+                off = mpf(g)
+                xs += [k + off, k - off, k + off * (1 + mpf(2) ** -190),
+                       k - off * (1 - mpf(2) ** -190), k + off * rng.random()]
+        xs += [1 - mpf(2) ** -190, 1 + mpf(2) ** -190]
+    xs += [Fraction(rng.randint(-300, 300), rng.randint(1, 40)) for _ in range(40)]
+    xs += [Fraction(k, 100) for k in (-205, -199, -101, -99, -5, 0, 5, 49, 50, 99, 100, 101, 150)]
+    xs += [rng.uniform(-20.0, 20.0) for _ in range(20)] + [1.0, 0.99, 1.01, -0.95, 0.0, 2.5]
+    return xs
+
+
+def test_nearest_nonpos_int_shortcut_matches_frozen_copy():
+    xs = _pole_test_inputs(7100)
+    for guard in _GUARDS:
+        for x in xs:
+            assert nearest_nonpos_int(x, guard) == _frozen_nearest_nonpos_int(x, guard), (x, guard)
+        for bad in (mpmath.nan, mpmath.inf, -mpmath.inf, float("nan"), float("inf")):
+            for test in (nearest_nonpos_int, _frozen_nearest_nonpos_int):
+                with pytest.raises(ValueError):
+                    test(bad, guard)
+
+
+def test_kernel_constants_are_kept_per_precision_with_fresh_bits():
+    args = ([Fraction(1, 2), Fraction(-7, 3), mpf(2.25)], [Fraction(5, 4), -0.3])
+    for digits in (57, 61, 67):
+        ctx = PrecisionCtx(digits=digits)
+        before = len(mpnum._CONSTANTS)
+        gamma_product(*args, ctx)
+        added = len(mpnum._CONSTANTS) - before
+        assert added <= 2
+        for _ in range(1000):
+            gamma_product(*args, ctx)
+        assert len(mpnum._CONSTANTS) == before + added
+        fresh = _frozen_mp_ln_gamma(Fraction(1, 2), ctx)
+        for half in (Fraction(1, 2), mpf(0.5), 0.5):
+            kept = ln_gamma(half, ctx)
+            assert kept is mpnum._CONSTANTS[("ln_gamma_half", ctx.prec)]
+            assert kept.value_ln._mpf_ == fresh.value_ln._mpf_
+            assert (kept.sign, kept.pole) == (1, False)
+        wp = ctx.prec + 39
+        with mpmath.workprec(wp):
+            assert mpnum._CONSTANTS[("ln_pi", wp)] == mpmath.log(mpmath.pi)._mpf_
