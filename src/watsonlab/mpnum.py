@@ -152,6 +152,8 @@ class GammaFactor:
 
 
 def _constant(name: str, prec: int, compute):
+    """The kept value of (name, prec); it depends on the key alone, so threads
+    that race on a miss store equal values and need no lock."""
     key = (name, prec)
     value = _CONSTANTS.get(key)
     if value is None:

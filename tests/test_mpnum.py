@@ -234,11 +234,20 @@ def test_ln_gamma_at_1000_digits():
 # ---------------------------------------------------------------------------
 # bit exactness of the raw-libmp kernel against the mpmath-level one
 #
-# Frozen copies of the pole test, ln_gamma and gamma_product as they were
-# written with mpmath-level arithmetic (workprec blocks, mpmath.loggamma,
-# sinpi, log, exp).  The kernel makes the same libmp calls on raw tuples, and
-# the pole test decides x >= 1 without arithmetic, so values, signs, pole
-# flags and NumeratorPole texts compare with ==.
+# Frozen copies of the conversion, the pole test, ln_gamma and gamma_product
+# as they were written with mpmath-level arithmetic (workprec blocks,
+# mpmath.loggamma, sinpi, log, exp).  The kernel makes the same libmp calls on
+# raw tuples, and the pole test decides x >= 1 without arithmetic, so values,
+# signs, pole flags and NumeratorPole texts compare with ==.
+
+def _frozen_to_mpf_ambient(x):
+    r = as_rational(x)
+    if r is not None:
+        return mpf(r.numerator) / r.denominator
+    if isinstance(x, mpf):
+        return x
+    return +mpf(x)
+
 
 def _frozen_nearest_nonpos_int(x, guard):
     if not isinstance(x, mpf):
@@ -246,7 +255,7 @@ def _frozen_nearest_nonpos_int(x, guard):
         if r is not None:
             k = min(0, round(r))
             return k if abs(r - k) <= Fraction(guard) else None
-        x = to_mpf_ambient(x)
+        x = _frozen_to_mpf_ambient(x)
     v = x._mpf_
     k = min(0, to_int(v, round_nearest))
     return k if mpf_le(mpf_abs(mpf_sub(v, from_int(k))), from_float(guard)) else None
@@ -256,7 +265,7 @@ def _frozen_mp_ln_gamma(x, ctx):
     if _frozen_nearest_nonpos_int(x, ctx.pole_guard) is not None:
         return GammaFactor(value_ln=mpmath.inf, sign=1, pole=True)
     with ctx.working(12):
-        v = to_mpf_ambient(x)
+        v = _frozen_to_mpf_ambient(x)
         if v >= mpf(1) / 2:
             raw = mpmath.loggamma(+v)
             sign = 1
@@ -411,6 +420,16 @@ def test_nearest_nonpos_int_shortcut_matches_frozen_copy():
             for test in (nearest_nonpos_int, _frozen_nearest_nonpos_int):
                 with pytest.raises(ValueError):
                     test(bad, guard)
+
+
+@pytest.mark.parametrize("prec", [53, 200, 3400])
+def test_to_mpf_ambient_matches_frozen_copy(prec):
+    xs = _pole_test_inputs(7200) + [10 ** 400 + 1, Fraction(10 ** 300, 7), mpmath.pi, "1.25"]
+    with mpmath.workprec(prec):
+        for x in xs:
+            assert to_mpf_ambient(x)._mpf_ == _frozen_to_mpf_ambient(x)._mpf_, x
+        third = mpf(1) / 3
+        assert to_mpf_ambient(third) is third
 
 
 def test_kernel_constants_are_kept_per_precision_with_fresh_bits():
