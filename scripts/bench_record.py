@@ -17,6 +17,10 @@ Beside the gain rule it gives each pair's ratio change/parent, with the
 median and quartiles of those ratios: a host that drifts during a record
 widens the parent's spread, but each pair runs both sides back to back, so
 the ratios keep the change apart from the drift.
+Each metric also reads its bound from BENCHMARK.json and stores
+worse_than_bound when the change's median is worse than the parent's by more
+than that fraction of it, the rule a benchmark check refuses a change by; such
+a metric is printed with OVER BOUND.
 Each run also records its pass count, read from run.py's wall_s line, and
 each workload the median pass count per side, printed as `passes 24 -> 30`:
 a faster program fits more passes into run_seconds, and perfbench keeps
@@ -76,7 +80,11 @@ def run_once(path: Path, command, workload: str, seed: int, seconds) -> dict:
             "elapsed_s": round(time.perf_counter() - t0, 2)}
 
 
-def summarize(pairs, spec) -> dict:
+def summarize(pairs, spec, bounds=None) -> dict:
+    """Per metric of spec (name -> "lower" or "higher"), each side's median and
+    quartiles, the gain rule, the pair ratios and, for a metric with a bound
+    in bounds (name -> fraction), whether the change is worse than the parent
+    by more than that bound."""
     out = {}
     for name, better in spec.items():
         sides = {}
@@ -94,8 +102,11 @@ def summarize(pairs, spec) -> dict:
         if ratios:
             q1, med, q3 = quartiles(ratios)
             ratio = {"median": med, "q1": q1, "q3": q3}
+        bound = (bounds or {}).get(name)
         out[name] = {
-            "better": better, **sides,
+            "better": better, **sides, "bound": bound,
+            "worse_than_bound": (bound is not None
+                                 and sign * (change - parent) > bound * abs(parent)),
             "change_pct": 100 * (change - parent) / parent if parent else None,
             "ratio": ratio,
             "change_wins": wins, "pairs": len(pairs),
@@ -129,6 +140,7 @@ def main(argv=None):
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     command = bench["command"]
     spec = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"] if "bound" in m}
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     record = {side: checkout(path) for side, path in dirs.items()}
     record.update(command=command, run_seconds=bench["run_seconds"], workloads={})
@@ -150,7 +162,7 @@ def main(argv=None):
             "report_sha256": {s: sorted({p[s]["report_sha256"] for p in pairs} - {None})
                               for s in dirs},
             "passes": median_passes(pairs),
-            "metrics": summarize(pairs, spec) if ok else None,
+            "metrics": summarize(pairs, spec, bounds) if ok else None,
             "pairs": pairs,
         }
     out = args.out or Path(f"BENCH_{record['change']['sha']}.json")
@@ -163,7 +175,8 @@ def main(argv=None):
             ratio = "n/a" if r is None else f"{r['median']:.3f} [{r['q1']:.3f}, {r['q3']:.3f}]"
             print(f"{workload:13s} {name:16s} {m['parent']['median']:12.6g} -> "
                   f"{m['change']['median']:12.6g}  {pct:>8s}  ratio {ratio}  "
-                  f"wins {m['change_wins']}/{m['pairs']}  gain {m['gain_shown']}")
+                  f"wins {m['change_wins']}/{m['pairs']}  gain {m['gain_shown']}"
+                  + ("  OVER BOUND" if m["worse_than_bound"] else ""))
         if not w["all_correct"]:
             print(f"{workload}: some run was not correct; see {out}")
     print(f"wrote {out}")

@@ -27,6 +27,7 @@ from .report import fmt_num
 # safety margin added to each printed strict inequality so adjudication never
 # happens in the slow-convergence limit
 VALIDITY_MARGIN = 0.05
+_HALF = mpf(0.5)        # the forms' 1/2 for an inexact triple
 
 FORM_EQUATIONS = {
     "gauss": "2F1(a,b;c;1) = G(c)G(c-a-b) / (G(c-a)G(c-b))",
@@ -100,13 +101,35 @@ def _require_series_denominators(form_id, *dens):
             raise ParameterPole(f"{form_id}: series denominator {d} is a nonpositive integer")
 
 
+def _gamma_lists(form_id, a, b, c):
+    """form_id's gamma products at the coerced triple (a, b, c), in the form's
+    order, as (numerator args, denominator args) at the ambient precision.  h
+    is a Fraction 1/2 for an exact triple, else an mpf: both exact, same values."""
+    h = Fraction(1, 2) if isinstance(a, Fraction) else _HALF
+    if form_id == "gauss":
+        return (([c, c - a - b], [c - a, c - b]),)
+    if form_id == "watson_00":
+        return (([h, c + h, (a + b) / 2 + h, c - (a + b) / 2 + h],
+                 [(a + 1) / 2, (b + 1) / 2, c - a / 2 + h, c - b / 2 + h]),)
+    down = form_id == "lavoie_minus"
+    sgn = -1 if down else 1
+    return (([c + sgn * h, (a + b) / 2 + h, c - (a + b) / 2 + sgn * h], [h, a, b]),
+            ([a / 2, b / 2], [c - a / 2 + sgn * h, c - b / 2 + sgn * h]),
+            ([(a + 1) / 2, (b + 1) / 2],
+             [c - a / 2 + (0 if down else 1), c - b / 2 + (0 if down else 1)]))
+
+
+def gamma_arguments(form_id, a, b, c) -> list:
+    """Every gamma argument, numerator or denominator, of form_id at (a, b, c)."""
+    return [v for nums, dens in _gamma_lists(form_id, a, b, c) for v in (*nums, *dens)]
+
+
 def gauss_2f1_unit(a, b, c, ctx: PrecisionCtx) -> mpf:
     """Unit-argument 2F1 summation: G(c)G(c-a-b) / (G(c-a)G(c-b)), needs c-a-b > 0."""
     a, b, c = _coerce3(ctx, a, b, c)
     _require_excess(c - a - b, 0.0, "gauss")
     with ctx.working(8):
-        nums = [c, c - a - b]
-        dens = [c - a, c - b]
+        (nums, dens), = _gamma_lists("gauss", a, b, c)
     return gamma_product(nums, dens, ctx)
 
 
@@ -121,10 +144,8 @@ def watson_00(a, b, c, ctx: PrecisionCtx) -> mpf:
     """
     a, b, c = _coerce3(ctx, a, b, c)
     _require_excess(2 * c - a - b, -1.0, "watson_00")
-    h = Fraction(1, 2)
     with ctx.working(8):
-        nums = [h, c + h, (a + b) / 2 + h, c - (a + b) / 2 + h]
-        dens = [(a + 1) / 2, (b + 1) / 2, c - a / 2 + h, c - b / 2 + h]
+        (nums, dens), = _gamma_lists("watson_00", a, b, c)
     value = gamma_product(nums, dens, ctx)
     _require_series_denominators("watson_00", nums[2], 2 * c)
     return value
@@ -136,22 +157,14 @@ def _lavoie(a, b, c, ctx: PrecisionCtx, down: bool) -> mpf:
         raise ParameterPole(f"{form_id}: a or b within pole_guard of a nonpositive integer")
     a, b, c = _coerce3(ctx, a, b, c)
     _require_excess(2 * c - a - b, 1.0 if down else -3.0, form_id)
-    h = Fraction(1, 2)
-    sgn = -1 if down else 1
     # the braces cancel, so the constituent quotients carry guard digits
     inner = replace(ctx, digits=ctx.digits + 12)
     with inner.working():
-        pref_gamma = gamma_product(
-            [c + sgn * h, (a + b) / 2 + h, c - (a + b) / 2 + sgn * h],
-            [h, a, b], inner)
+        pref, first, second = _gamma_lists(form_id, a, b, c)
+        pref_gamma = gamma_product(*pref, inner)
         pow2 = mpmath.power(2, to_mpf_ambient(a + b) - 2)
-        first = gamma_product([a / 2, b / 2],
-                              [c - a / 2 + sgn * h, c - b / 2 + sgn * h], inner)
-        second = gamma_product([(a + 1) / 2, (b + 1) / 2],
-                               [c - a / 2 + (0 if down else 1),
-                                c - b / 2 + (0 if down else 1)], inner)
-        raw = pow2 * pref_gamma * (first - second)
-        _require_series_denominators(form_id, (a + b) / 2 + h, 2 * c + sgn)
+        raw = pow2 * pref_gamma * (gamma_product(*first, inner) - gamma_product(*second, inner))
+        _require_series_denominators(form_id, pref[0][1], 2 * c + (-1 if down else 1))
     with ctx.working():
         return +raw
 

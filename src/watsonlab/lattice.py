@@ -135,10 +135,9 @@ def _convergent_or_terminating(p: WatsonPoint, ctx: PrecisionCtx, label: str) ->
     return f
 
 
-def _require_away_from_zero(value, name, guard):
-    v = float(to_mpf_ambient(value))
-    if value == 0 or abs(v) < guard:
-        raise PreconditionViolation(f"factor {name} = {v:.4g} is within {guard} of 0")
+def near_zero(value, guard) -> bool:
+    """The zero-factor rule: value is 0, or its float lies within guard of 0."""
+    return value == 0 or abs(float(to_mpf_ambient(value))) < guard
 
 
 def _exact3(p: WatsonPoint):
@@ -166,7 +165,9 @@ def _linear_relation(relation_id: str, p: WatsonPoint, ctx: PrecisionCtx, tol,
     only when p is exact and every evaluated value is exact.
     """
     for name, value in factors:
-        _require_away_from_zero(value, name, ctx.pole_guard)
+        if near_zero(value, ctx.pole_guard):
+            raise PreconditionViolation(f"factor {name} = {float(to_mpf_ambient(value)):.4g}"
+                                        f" is within {ctx.pole_guard} of 0")
     series = [_convergent_or_terminating(q, ctx, label) for q, label in points]
     ws = _on_params(p, ctx, weights)
     if ws[2] == 0:
@@ -203,14 +204,19 @@ def recurrence_residual(p: WatsonPoint, ctx: PrecisionCtx, tol=None,
 
     Both sides are produced by series (or exact rational) evaluation.
     """
-    a, b, c, i, j = p.a, p.b, p.c, p.i, p.j
+    i, j = p.i, p.j
     return _linear_relation(
-        relation_id, p, ctx, tol,
-        (("a+b+i+1", a + b + i + 1), ("2c+j", 2 * c + j), ("2c+j+1", 2 * c + j + 1)),
-        ((WatsonPoint(a, b, c, i, j + 1), "f_{i,j+1}(a,b,c)"), (p, "f_{i,j}(a,b,c)"),
-         (p.shift_abc(1), "f_{i,j}(a+1,b+1,c+1)")),
+        relation_id, p, ctx, tol, *_recurrence_points(p),
         lambda a, b, c: (2 * c + j, 2 * c + j,
                          -(2 * a * b * c / ((a + b + i + 1) * (2 * c + j + 1)))))
+
+
+def _recurrence_points(p: WatsonPoint):
+    """Zero factors and points of the main recurrence."""
+    a, b, c, i, j = p.a, p.b, p.c, p.i, p.j
+    return ((("a+b+i+1", a + b + i + 1), ("2c+j", 2 * c + j), ("2c+j+1", 2 * c + j + 1)),
+            ((WatsonPoint(a, b, c, i, j + 1), "f_{i,j+1}(a,b,c)"), (p, "f_{i,j}(a,b,c)"),
+             (p.shift_abc(1), "f_{i,j}(a+1,b+1,c+1)")))
 
 
 def _three_term_points(p: WatsonPoint):

@@ -18,7 +18,13 @@ One verdict rule serves every relation, grids included.  Over the converged
 instances: a residual above both 0.01 and 100 x its evaluation bounds, or an
 exact instance with a nonzero residual, is a counterexample and gives
 not_identity; every residual inside max(10^(-digits/3), 100 x its bounds) with
-enough converged instances gives identity; anything else is inconclusive.
+enough converged instances, and never fewer than one, gives identity; anything
+else is inconclusive.
+
+A sampler rejects a draw when a gamma argument or series parameter of its
+relation's evaluator lies within pole_guard of a nonpositive integer, or a
+zero factor within pole_guard of 0; both lists come from the evaluators'
+own definitions (SampleConstraints).
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .series import PFQ, SeriesError, eval_exact, eval_general, eval_unit
 
 MASK64 = (1 << 64) - 1
 DEFAULT_WINDOW = (0.75, 3.0)
+_AB_RANGE = ("0.1", "3.0")       # a and b are drawn uniform on this interval
 GRID = tuple((i, j) for i in range(-5, 6) for j in range(-3, 4))
 
 
@@ -56,14 +63,6 @@ class SamplingExhausted(RuntimeError):
 # ---------------------------------------------------------------------------
 # deterministic sampling
 
-def _splitmix64(state: int) -> Tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & MASK64
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return state, z ^ (z >> 31)
-
-
 class SplitMix64:
     """The splitmix64 generator; the full 64-bit word feeds each uniform draw."""
 
@@ -71,12 +70,21 @@ class SplitMix64:
         self.state = seed & MASK64
 
     def next_u64(self) -> int:
-        self.state, z = _splitmix64(self.state)
-        return z
+        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
 
-    def uniform(self, lo, hi) -> mpf:
-        u = mpf(self.next_u64()) / mpf(2) ** 64
-        return to_mpf_ambient(lo) + u * (to_mpf_ambient(hi) - to_mpf_ambient(lo))
+    def uniform(self, lo: mpf, width: mpf) -> mpf:
+        """lo + u * width at the ambient precision, u the next word over 2^64."""
+        return lo + mpmath.ldexp(mpf(self.next_u64()), -64) * width
+
+
+def _span(lo, hi) -> Tuple[mpf, mpf]:
+    """SplitMix64.uniform's (low end, width) of [lo, hi], at the ambient precision."""
+    lo = to_mpf_ambient(lo)
+    return lo, to_mpf_ambient(hi) - lo
 
 
 def _fnv1a64(text: str) -> int:
@@ -96,15 +104,15 @@ class SampleConstraints:
 
     solve_c pins the relation's tightest constituent margin to the drawn s;
     margins lists only the constituent margins solve_c does not fix, each of
-    which must not fall below the window; pole_args lists all values that must
-    stay pole_guard away from the nonpositive integers, zero_args all factors
-    that must stay away from zero.
+    which must not fall below the window.  values(a, b, c) gives (every gamma
+    argument and series parameter the evaluator is built from, every factor it
+    refuses near 0), read from the evaluator's own definitions: gamma_arguments,
+    to_pfq of the lattice relations' points, _thomae_parts.
     """
 
     solve_c: Callable
-    pole_args: Callable
+    values: Callable
     margins: Callable = lambda a, b, c: []
-    zero_args: Callable = lambda a, b, c: []
 
 
 def sample_params(seed: int, index: int, constraints: SampleConstraints,
@@ -115,7 +123,7 @@ def sample_params(seed: int, index: int, constraints: SampleConstraints,
     on [0.1, 3.0], and c is solved so the tightest constituent margin hits the
     drawn s in window = (s_lo, s_hi).  Bounded retries reject triples with a
     margin of constraints.margins (those solve_c does not fix) below s_lo, or
-    with any gamma or series parameter too close to a pole, and raise
+    whose constraints.values come too close to a pole or to 0, and raise
     SamplingExhausted after 1000, or at once for an empty window.
     """
     s_lo, s_hi = window
@@ -124,17 +132,17 @@ def sample_params(seed: int, index: int, constraints: SampleConstraints,
     rng = SplitMix64((seed ^ index) & MASK64)
     guard = ctx.pole_guard
     with ctx.working():
+        ab_span, s_span = _span(*_AB_RANGE), _span(s_lo, s_hi)
         for _ in range(1000):
-            a = rng.uniform("0.1", "3.0")
-            b = rng.uniform("0.1", "3.0")
-            s = rng.uniform(s_lo, s_hi)
+            a = rng.uniform(*ab_span)
+            b = rng.uniform(*ab_span)
+            s = rng.uniform(*s_span)
             c = constraints.solve_c(a, b, s)
             if any(float(to_mpf_ambient(m)) < s_lo - 1e-9 for m in constraints.margins(a, b, c)):
                 continue
-            if any(nearest_nonpos_int(v, guard) is not None
-                   for v in constraints.pole_args(a, b, c)):
-                continue
-            if any(abs(float(to_mpf_ambient(v))) < guard for v in constraints.zero_args(a, b, c)):
+            poles, zeros = constraints.values(a, b, c)
+            if (any(nearest_nonpos_int(v, guard) is not None for v in poles)
+                    or any(lattice.near_zero(v, guard) for v in zeros)):
                 continue
             return a, b, c
     raise SamplingExhausted(f"no admissible triple after 1000 retries (seed={seed}, index={index})")
@@ -161,74 +169,58 @@ class RelationDef:
 
 
 def _solve_c_ij(i, j):
-    def solve(a, b, s):
-        return s - j - mpf(i + 1) / 2 + (a + b) / 2
-    return solve
+    return lambda a, b, s: s - j - mpf(i + 1) / 2 + (a + b) / 2
 
 
-def _recurrence_constraints(i: int, j: int) -> SampleConstraints:
-    return SampleConstraints(
-        solve_c=_solve_c_ij(i, j),
-        pole_args=lambda a, b, c: [a, b, c, a + 1, b + 1, c + 1,
-                                   (a + b + i + 1) / 2, (a + b + i + 3) / 2,
-                                   2 * c + j, 2 * c + j + 1, 2 * c + j + 2],
-        zero_args=lambda a, b, c: [a + b + i + 1, 2 * c + j, 2 * c + j + 1],
-    )
+def _series_params(*series: PFQ) -> list:
+    return [v for f in series for v in (*f.numerators, *f.denominators)]
 
 
-def _three_term_constraints(i: int, j: int) -> SampleConstraints:
-    return SampleConstraints(
-        solve_c=_solve_c_ij(i, j),
-        pole_args=lambda a, b, c: [a, b, c, a - 1, b + 1, c + 1,
-                                   (a + b + i + 1) / 2, (a + b + i + 3) / 2,
-                                   2 * c + j, 2 * c + j + 1],
-        zero_args=lambda a, b, c: [a + b + i + 1, 2 * c + j],
-    )
+def _lattice_constraints(points_of: Callable, i: int, j: int) -> SampleConstraints:
+    """A lattice relation at cell (i, j): points_of gives its zero factors and
+    points at a WatsonPoint, as its evaluator takes them."""
+    def values(a, b, c):
+        factors, points = points_of(lattice.WatsonPoint(a, b, c, i, j))
+        return (_series_params(*(lattice.to_pfq(q) for q, _ in points)),
+                [v for _, v in factors])
+    return SampleConstraints(solve_c=_solve_c_ij(i, j), values=values)
 
+
+_recurrence_constraints = partial(_lattice_constraints, lattice._recurrence_points)
+_three_term_constraints = partial(_lattice_constraints, lattice._three_term_points)
 
 _FORM_ROW_J = {"watson_00": 0, "lavoie_plus": 1, "lavoie_minus": -1}
 
 
-def _form_constraints(form_id: str) -> SampleConstraints:
+def _form_series(form_id: str, a, b, c) -> PFQ:
+    """The series a closed form sums: 2F1(a, b; c; 1), or its lattice row's 3F2."""
     if form_id == "gauss":
-        return SampleConstraints(
-            solve_c=lambda a, b, s: s + a + b,
-            pole_args=lambda a, b, c: [a, b, c, c - a - b, c - a, c - b],
-        )
-    j0 = _FORM_ROW_J[form_id]
-    half = mpf(1) / 2
+        return PFQ((a, b), (c,), 1)
+    return lattice.to_pfq(lattice.WatsonPoint(a, b, c, 0, _FORM_ROW_J[form_id]))
 
-    def pole_args(a, b, c):
-        args = [a, b, c, (a + b + 1) / 2, 2 * c + j0,
-                c - (a + b) / 2 + (half if j0 >= 0 else -half)]
-        if form_id == "watson_00":
-            args += [c + half, (a + 1) / 2, (b + 1) / 2, c - a / 2 + half, c - b / 2 + half]
-        elif form_id == "lavoie_plus":
-            args += [c + half, a / 2, b / 2, (a + 1) / 2, (b + 1) / 2,
-                     c - a / 2 + half, c - b / 2 + half, c - a / 2 + 1, c - b / 2 + 1]
-        else:
-            args += [c - half, a / 2, b / 2, (a + 1) / 2, (b + 1) / 2,
-                     c - a / 2 - half, c - b / 2 - half, c - a / 2, c - b / 2]
-        return args
 
+def _form_constraints(form_id: str) -> SampleConstraints:
     return SampleConstraints(
-        solve_c=_solve_c_ij(0, j0),
-        pole_args=pole_args,
-    )
+        solve_c=((lambda a, b, s: s + a + b) if form_id == "gauss"
+                 else _solve_c_ij(0, _FORM_ROW_J[form_id])),
+        values=lambda a, b, c: (_series_params(_form_series(form_id, a, b, c))
+                                + closedform.gamma_arguments(form_id, a, b, c), []))
 
 
-def _thomae_constraints() -> SampleConstraints:
-    def pole_args(a, b, c):
-        d = (a + b + 1) / 2
-        e = 2 * c
-        s = d + e - a - b - c
-        return [a, b, c, d, e, s, b + s, c + s, d - a, e - a]
+def _thomae_parts(a, b, c):
+    """The Thomae transformation at mpf (a, b, c), formed at the ambient
+    precision: its left and right series and the gamma prefactor's numerator
+    and denominator arguments, with d = (a+b+1)/2, e = 2c, s = d+e-a-b-c."""
+    d = (a + b + 1) / 2
+    e = 2 * c
+    s = d + e - a - b - c
+    return (PFQ((a, b, c), (d, e), 1), PFQ((d - a, e - a, s), (b + s, c + s), 1),
+            [d, e, s], [a, b + s, c + s])
 
-    return SampleConstraints(
-        solve_c=_solve_c_ij(0, 0),
-        pole_args=pole_args,
-        margins=lambda a, b, c: [a],
-    )
+
+def _thomae_values(a, b, c):
+    lhs_f, rhs_f, pref_nums, pref_dens = _thomae_parts(a, b, c)
+    return _series_params(lhs_f, rhs_f) + pref_nums + pref_dens, []
 
 
 # --- evaluators -------------------------------------------------------------
@@ -248,12 +240,8 @@ def _closed_form_instance(form_id: str, sample: dict, ctx: PrecisionCtx, tol) ->
         formula = closedform.FORM_FUNCS[form_id](a, b, c, ctx)
     except (closedform.DivergenceRegion, closedform.ParameterPole, NumeratorPole) as exc:
         return _failed_instance(form_id, params, None, f"formula inapplicable: {exc}")
-    if form_id == "gauss":
-        f = PFQ((a, b), (c,), 1)
-    else:
-        f = lattice.to_pfq(lattice.WatsonPoint(a, b, c, 0, _FORM_ROW_J[form_id]))
     try:
-        series = eval_unit(f, ctx, tol=tol)
+        series = eval_unit(_form_series(form_id, a, b, c), ctx, tol=tol)
     except SeriesError as exc:
         return _failed_instance(form_id, params, None, f"series side: {exc}")
     exact = series.exact_value is not None
@@ -285,14 +273,7 @@ def _thomae_instance(sample: dict, ctx: PrecisionCtx, tol) -> RelationInstance:
     a, b, c = sample["a"], sample["b"], sample["c"]
     params = {"a": a, "b": b, "c": c}
     with ctx.working(8):
-        am, bm, cm = to_mpf_ambient(a), to_mpf_ambient(b), to_mpf_ambient(c)
-        d = (am + bm + 1) / 2
-        e = 2 * cm
-        s = d + e - am - bm - cm
-        lhs_f = PFQ((am, bm, cm), (d, e), 1)
-        rhs_f = PFQ((d - am, e - am, s), (bm + s, cm + s), 1)
-        pref_nums = [d, e, s]
-        pref_dens = [am, bm + s, cm + s]
+        lhs_f, rhs_f, pref_nums, pref_dens = _thomae_parts(*map(to_mpf_ambient, (a, b, c)))
     try:
         left = eval_unit(lhs_f, ctx, tol=tol)
     except SeriesError as exc:
@@ -347,11 +328,8 @@ def _debranges_points(grid: dict, ctx: Optional[PrecisionCtx] = None) -> List[di
         for alpha in grid["alphas"]:
             # denominator parameters alpha+1 and (alpha+3)/2 must not hit a
             # zero factor within the termination range n
-            bad = False
-            for d in (alpha + 1, (alpha + 3) / 2):
-                if d.denominator == 1 and -(n - 1) <= d <= 0:
-                    bad = True
-            if bad:
+            if any(d.denominator == 1 and -(n - 1) <= d <= 0
+                   for d in (alpha + 1, (alpha + 3) / 2)):
                 continue
             for x in grid["xs"]:
                 pts.append({"n": n, "alpha": alpha, "x": x})
@@ -486,25 +464,24 @@ def transcription_diff(i: int, j: int) -> List[str]:
 def _sample_abc(constraints: SampleConstraints, index: int, seed: int,
                 ctx: PrecisionCtx, window) -> dict:
     """Random sample `index`: an (a, b, c) triple whose margin lies in window."""
-    a, b, c = sample_params(seed, index, constraints, ctx, window)
-    return {"a": a, "b": b, "c": c}
+    return dict(zip(_ABC, sample_params(seed, index, constraints, ctx, window)))
 
 
 def _sample_at_cell(constraints_at: Callable, cell, index: int, seed: int,
                     ctx: PrecisionCtx, window) -> dict:
     """An (a, b, c) sample at lattice cell `cell`, or, when cell is None, at the
     grid cell that `index` walks to."""
-    i, j = cell if cell is not None else _grid_cell(index)
+    i, j = cell if cell is not None else GRID[index % len(GRID)]
     return {**_sample_abc(constraints_at(i, j), index, seed, ctx, window), "i": i, "j": j}
 
 
 def _sample_macrobert(index: int, seed: int, ctx: PrecisionCtx, window) -> dict:
     rng = SplitMix64((seed ^ index) & MASK64)
     with ctx.working():
-        a = rng.uniform("0.1", "3.0")
-        b = rng.uniform("0.1", "3.0")
-        x_hi = (2 - mpmath.sqrt(2)) / 2 - mpf("0.01")
-        x = rng.uniform(mpf("0.01"), x_hi)
+        ab_span = _span(*_AB_RANGE)
+        a = rng.uniform(*ab_span)
+        b = rng.uniform(*ab_span)
+        x = rng.uniform(*_span(mpf("0.01"), (2 - mpmath.sqrt(2)) / 2 - mpf("0.01")))
     return {"a": a, "b": b, "x": x}
 
 
@@ -546,10 +523,6 @@ _THREE_TERM_PROBE_POOL = (
     (Fraction(0), Fraction(3, 2), Fraction(5, 4)),
     (Fraction(-1), Fraction(1), Fraction(2)),
 )
-
-
-def _grid_cell(index: int) -> Tuple[int, int]:
-    return GRID[index % len(GRID)]
 
 
 def _case_id(i: int, j: int) -> str:
@@ -625,7 +598,8 @@ RELATIONS = {rel.relation_id: rel for rel in (
         relation_id="thomae",
         anchor="fundamental 3F2(1) transformation with d=(a+b+1)/2, e=2c",
         expected_identity=True,
-        build_sample=partial(_sample_abc, _thomae_constraints()),
+        build_sample=partial(_sample_abc, SampleConstraints(
+            _solve_c_ij(0, 0), _thomae_values, margins=lambda a, b, c: [a])),
         evaluate=_thomae_instance,
         probes=partial(_given_probes, _ABC,
                        ((Fraction(0), Fraction(3, 2), Fraction(5, 4)),
@@ -721,7 +695,7 @@ def _judged(rel: RelationDef, ctx: PrecisionCtx, instances, minimum: int) -> Rel
             counterexample = inst
     if counterexample is not None:
         verdict = "not_identity"
-    elif all_within and n_conv >= minimum:
+    elif all_within and n_conv >= max(minimum, 1):
         verdict = "identity"
     else:
         verdict = "inconclusive"
@@ -744,8 +718,8 @@ def check_relation(relation_id: str, n_samples: int, seed: int, ctx: PrecisionCt
     that is exact with a nonzero residual (the first such is the
     counterexample); identity needs every residual inside
     max(10^(-digits/3), 100 x its bounds) and at least the requested number of
-    converged instances (every grid point, for a grid); anything else is
-    inconclusive.
+    converged instances (every grid point, for a grid), and never fewer than
+    one; anything else is inconclusive.
     """
     if relation_id not in RELATIONS:
         raise UnknownRelation(relation_id)

@@ -377,6 +377,39 @@ def test_bench_record_summary_applies_the_gain_rule():
     assert close["wall_s"]["change_wins"] == 4 and not close["wall_s"]["gain_shown"]
 
 
+def test_bench_record_flags_a_metric_worse_than_its_bound():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record)
+
+    def pairs(parent, change):
+        return [{"parent": {"metrics": {"setup_s": p, "ops_per_s": 1 / p}},
+                 "change": {"metrics": {"setup_s": c, "ops_per_s": 1 / c}}}
+                for p, c in zip(parent, change)]
+
+    spec = {"setup_s": "lower", "ops_per_s": "higher"}
+    bounds = {"setup_s": 0.25, "ops_per_s": 0.25}
+    # a setup_s median 0.078 -> 0.112 s (+43.6%) is past a 0.25 bound; ops_per_s
+    # falls by 30.4%, past it too
+    over = record.summarize(pairs([0.078] * 4, [0.112] * 4), spec, bounds)
+    assert over["setup_s"]["worse_than_bound"] and over["setup_s"]["bound"] == 0.25
+    assert over["ops_per_s"]["worse_than_bound"]
+    # +20% is inside the bound, and a gain is never over it
+    inside = record.summarize(pairs([0.1] * 4, [0.12] * 4), spec, bounds)
+    assert not inside["setup_s"]["worse_than_bound"]
+    assert not inside["ops_per_s"]["worse_than_bound"]
+    faster = record.summarize(pairs([0.1] * 4, [0.05] * 4), spec, bounds)
+    assert not faster["setup_s"]["worse_than_bound"]
+    assert not faster["ops_per_s"]["worse_than_bound"]
+    # a metric without a bound is never flagged
+    unbound = record.summarize(pairs([0.078] * 4, [0.112] * 4), spec)
+    assert unbound["setup_s"]["bound"] is None and not unbound["setup_s"]["worse_than_bound"]
+
+
 def test_bench_record_ratio_separates_a_gain_from_host_drift():
     import importlib.util
     from pathlib import Path

@@ -1,14 +1,17 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import mpf
 
+from watsonlab import closedform, verify
 from watsonlab.closedform import (FORM_EQUATIONS, FORM_IDS, DivergenceRegion,
                                   ParameterPole, gauss_2f1_unit, lavoie_minus,
                                   lavoie_plus, registry_as_dicts, watson_00)
 from watsonlab.lattice import WatsonPoint, to_pfq
-from watsonlab.mpnum import NumeratorPole, PrecisionCtx
+from watsonlab.mpnum import NumeratorPole, PrecisionCtx, gamma_product, to_mpf_ambient
 from watsonlab.report import RelationReport, fmt_num
 from watsonlab.series import PFQ, eval_exact, eval_unit
 
@@ -211,3 +214,96 @@ def test_watson_rows_refuse_or_match_the_exact_series_at_terminating_points():
                             (form.__name__, a, b, c)
                     answered += 1
     assert answered > 500
+
+
+# --- frozen copies of the form bodies that wrote out their gamma lists ------
+
+def _frozen_gauss(a, b, c, ctx):
+    a, b, c = closedform._coerce3(ctx, a, b, c)
+    closedform._require_excess(c - a - b, 0.0, "gauss")
+    with ctx.working(8):
+        nums = [c, c - a - b]
+        dens = [c - a, c - b]
+    return gamma_product(nums, dens, ctx)
+
+
+def _frozen_watson_00(a, b, c, ctx):
+    a, b, c = closedform._coerce3(ctx, a, b, c)
+    closedform._require_excess(2 * c - a - b, -1.0, "watson_00")
+    h = Fraction(1, 2)
+    with ctx.working(8):
+        nums = [h, c + h, (a + b) / 2 + h, c - (a + b) / 2 + h]
+        dens = [(a + 1) / 2, (b + 1) / 2, c - a / 2 + h, c - b / 2 + h]
+    value = gamma_product(nums, dens, ctx)
+    closedform._require_series_denominators("watson_00", nums[2], 2 * c)
+    return value
+
+
+def _frozen_lavoie(a, b, c, ctx, down):
+    form_id = "lavoie_minus" if down else "lavoie_plus"
+    if ctx.near_nonpos_int(a) is not None or ctx.near_nonpos_int(b) is not None:
+        raise ParameterPole(f"{form_id}: a or b within pole_guard of a nonpositive integer")
+    a, b, c = closedform._coerce3(ctx, a, b, c)
+    closedform._require_excess(2 * c - a - b, 1.0 if down else -3.0, form_id)
+    h = Fraction(1, 2)
+    sgn = -1 if down else 1
+    inner = replace(ctx, digits=ctx.digits + 12)
+    with inner.working():
+        pref_gamma = gamma_product(
+            [c + sgn * h, (a + b) / 2 + h, c - (a + b) / 2 + sgn * h],
+            [h, a, b], inner)
+        pow2 = mpmath.power(2, to_mpf_ambient(a + b) - 2)
+        first = gamma_product([a / 2, b / 2],
+                              [c - a / 2 + sgn * h, c - b / 2 + sgn * h], inner)
+        second = gamma_product([(a + 1) / 2, (b + 1) / 2],
+                               [c - a / 2 + (0 if down else 1),
+                                c - b / 2 + (0 if down else 1)], inner)
+        raw = pow2 * pref_gamma * (first - second)
+        closedform._require_series_denominators(form_id, (a + b) / 2 + h, 2 * c + sgn)
+    with ctx.working():
+        return +raw
+
+
+_FROZEN_FORMS = {
+    "gauss": _frozen_gauss,
+    "watson_00": _frozen_watson_00,
+    "lavoie_plus": lambda a, b, c, ctx: _frozen_lavoie(a, b, c, ctx, down=False),
+    "lavoie_minus": lambda a, b, c, ctx: _frozen_lavoie(a, b, c, ctx, down=True),
+}
+
+
+def _form_outcome(fn, point, ctx):
+    try:
+        value = fn(*point, ctx)
+    except Exception as exc:       # the type and text must match too
+        return type(exc).__name__, str(exc)
+    return getattr(value, "_mpf_", value)
+
+
+@pytest.mark.parametrize("digits", [15, 30, 100])
+def test_forms_bit_exact_against_frozen_parent(digits):
+    # the forms read their gamma lists from one table (h an mpf for an
+    # inexact triple); every value, exception type and text must be those of
+    # the bodies that wrote the lists out with h = Fraction(1, 2)
+    rng = random.Random(digits)
+    halves = [Fraction(k, 4) for k in range(-12, 13)]
+    compared = refused = 0
+    for guard in (0.05, 0.3):
+        ctx = PrecisionCtx(digits, guard)
+        for form_id in FORM_IDS:
+            rel = verify.RELATIONS[form_id]
+            points = [tuple(rel.build_sample(k, seed, ctx, verify.DEFAULT_WINDOW).values())
+                      for seed in (11, 0xC0FFEE) for k in range(6)]
+            points += [tuple(p.values()) for p in rel.probes(ctx)]
+            points += [tuple(rng.choice(halves) for _ in range(3)) for _ in range(12)]
+            points += [tuple(Fraction(rng.randint(-40, 60), rng.randint(1, 9))
+                             for _ in range(3)) for _ in range(12)]
+            points += [tuple(rng.uniform(-3.0, 4.0) for _ in range(3)) for _ in range(6)]
+            for p in points:
+                new = _form_outcome(closedform.FORM_FUNCS[form_id], p, ctx)
+                assert new == _form_outcome(_FROZEN_FORMS[form_id], p, ctx), (form_id, p)
+                compared += 1
+                refused += isinstance(new, tuple) and isinstance(new[0], str)
+    assert compared == 2 * sum(12 + len(verify.RELATIONS[f].probes(PrecisionCtx(digits)))
+                               + 30 for f in FORM_IDS)
+    assert 0 < refused < compared

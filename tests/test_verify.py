@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import multiprocessing
 import os
@@ -47,6 +48,46 @@ def test_sample_params_deterministic_and_in_window():
 def test_sample_params_exhausts_on_empty_window():
     with pytest.raises(SamplingExhausted):
         sample_params(1, 1, _recurrence_constraints(0, 0), CTX, window=(2.0, 1.0))
+
+
+# SHA-256 of every sampled relation's draws, taken from the samplers that
+# listed their pole and zero values by hand; see test_sampler_draws_match_parent_digest
+SAMPLER_DIGEST = "91a0e82c0378fae440d7dfb47c0e62deeb4ba627a14893312f1a91fae2213f09"
+
+
+def test_sampler_draws_match_parent_digest():
+    # the samplers now read their pole and zero values from the evaluators'
+    # definitions; the draws must be those of the hand-written lists
+    h = hashlib.sha256()
+    n = 0
+    for rid, rel in RELATIONS.items():
+        if rel.build_sample is None:
+            continue
+        for seed in (0xC0FFEE, 1):
+            rel_seed = _relation_seed(seed, rid)
+            for digits in (15, 30, 100):
+                for guard in (0, 0.05, 0.3):
+                    ctx = PrecisionCtx(digits, guard)
+                    for k in range(5):
+                        try:
+                            s = rel.build_sample(k, rel_seed, ctx, verify.DEFAULT_WINDOW)
+                            tok = " ".join(f"{key}={getattr(v, '_mpf_', v)!r}"
+                                           for key, v in s.items())
+                        except SamplingExhausted:
+                            tok = "SamplingExhausted"
+                        h.update(f"{rid} {seed} {digits} {guard} {k} {tok}\n".encode())
+                        n += 1
+    assert n == 28 * 2 * 3 * 3 * 5
+    assert h.hexdigest() == SAMPLER_DIGEST
+
+
+def test_identity_needs_a_converged_instance():
+    # every macrobert probe has a numerator within 0.4999 of 0, so none
+    # converges; with no random samples requested nothing supports identity
+    rep = check_relation("macrobert", 0, 1, PrecisionCtx(20, 0.4999))
+    assert rep.n_converged == 0 and len(rep.samples) == 3
+    assert rep.verdict == "inconclusive"
+    assert check_relation("gauss", 0, 1, FAST).verdict == "identity"
 
 
 def test_grid_and_case_list():
