@@ -19,8 +19,8 @@ widens the parent's spread, but each pair runs both sides back to back, so
 the ratios keep the change apart from the drift.
 Each metric also reads its bound from BENCHMARK.json and stores
 worse_than_bound when the change's median is worse than the parent's by more
-than that fraction of it, the rule a benchmark check refuses a change by; such
-a metric is printed with OVER BOUND.
+than that fraction of it, the no-regression rule those bounds set; such a
+metric is printed with OVER BOUND.
 Each run also records its pass count, read from run.py's wall_s line, and
 each workload the median pass count per side, printed as `passes 24 -> 30`:
 a faster program fits more passes into run_seconds, and perfbench keeps
