@@ -163,7 +163,7 @@ class RelationDef:
     expected_identity: bool
     build_sample: Callable          # (index, seed, ctx, window) -> dict
     evaluate: Callable              # (sample, ctx, tol) -> RelationInstance
-    probes: Callable                # (ctx) -> list of sample dicts
+    probes: Callable                # (ctx) -> sample dicts, or their instances
     transcription: Optional[Callable] = None   # () -> list of flag strings
     fixed_grid: Optional[Callable] = None      # (ctx) -> list of sample dicts
 
@@ -489,17 +489,18 @@ def _given_probes(keys: Tuple[str, ...], points, ctx: PrecisionCtx) -> List[dict
     return [dict(zip(keys, p)) for p in points]
 
 
-def _exact_probes(evaluate: Callable, plan, ctx: PrecisionCtx) -> List[dict]:
-    """For each (pool, (i, j), limit) of plan, the first `limit` pool triples
-    that evaluate exactly at (i, j); only evaluability matters, not the residual."""
+def _exact_probes(evaluate: Callable, plan, ctx: PrecisionCtx) -> List[RelationInstance]:
+    """For each (pool, (i, j), limit) of plan, the instances of the first
+    `limit` pool triples that evaluate exactly at (i, j); only evaluability
+    matters, not the residual.  Each is evaluated once: its task carries it."""
     out = []
     for pool, (i, j), limit in plan:
         found = 0
         for a, b, c in pool:
-            sample = {"a": a, "b": b, "c": c, "i": i, "j": j}
-            inst = evaluate(sample, ctx, adjudication_tol(ctx))
+            inst = evaluate({"a": a, "b": b, "c": c, "i": i, "j": j}, ctx,
+                            adjudication_tol(ctx))
             if inst.converged and inst.exact:
-                out.append(sample)
+                out.append(inst)
                 found += 1
             if found >= limit:
                 break
@@ -633,7 +634,9 @@ EXPECTED_IDENTITY = tuple(r for r in SUITE_ORDER
 def _evaluate_task(task) -> RelationInstance:
     """The instance at position index of a (relation_id, index, kind, sample,
     seed, ctx) task.  A random sample arrives as its draw number and is drawn
-    here, in DEFAULT_WINDOW; probes and grid points arrive as their sample dicts."""
+    here, in DEFAULT_WINDOW; grid points and given probes arrive as their sample
+    dicts, and a probe the parent evaluated to choose it as that instance, which
+    is not evaluated again."""
     relation_id, index, kind, sample, seed, ctx = task
     rel = RELATIONS[relation_id]
     if kind == "sample":
@@ -642,39 +645,57 @@ def _evaluate_task(task) -> RelationInstance:
         except SamplingExhausted as exc:
             inst = _failed_instance(relation_id, {}, None, str(exc))
             return replace(inst, index=index, kind=kind)
+    if isinstance(sample, RelationInstance):
+        return replace(sample, index=index, kind=kind)
     inst = rel.evaluate(sample, ctx, adjudication_tol(ctx))
     return replace(inst, index=index, kind=kind)
 
 
+@contextlib.contextmanager
 def worker_pool(threads: int):
-    """A context giving one process pool for every check_relation call in its
-    block, or None (evaluate in this process) for threads <= 1 or when no pool
-    can be started.  The pool has `threads` workers, at most one per CPU: a
-    fork pool starts them all at its first task, and the report does not
-    depend on their number.  The pool shuts down, joining its workers, on
-    exit, so their CPU time and memory count as this process's children."""
+    """A context giving one process pool for every relation its block submits,
+    or None (evaluate in this process) for threads <= 1 or when no pool can be
+    started.  The pool has `threads` workers, at most one per CPU: a fork pool
+    starts them all at its first task, and the report does not depend on their
+    number.  The pool shuts down, joining its workers, on exit, so their CPU
+    time and memory count as this process's children; on an exception, the
+    tasks no worker has taken yet are cancelled first, not run."""
+    pool = None
     if threads > 1:
         try:
-            return concurrent.futures.ProcessPoolExecutor(
+            pool = concurrent.futures.ProcessPoolExecutor(
                 max_workers=min(threads, os.cpu_count() or 1))
         except OSError:
             pass
-    return contextlib.nullcontext()
+    if pool is None:
+        yield None
+        return
+    try:
+        yield pool
+    except BaseException:
+        pool.shutdown(cancel_futures=True)
+        raise
+    pool.shutdown()
 
 
 def _run_tasks(tasks, pool):
-    if pool is None or len(tasks) < 2:
-        return [_evaluate_task(t) for t in tasks]
-    try:
-        chunk = max(1, len(tasks) // (pool._max_workers * 4))
-        return list(pool.map(_evaluate_task, tasks, chunksize=chunk))
-    except OSError:
-        return [_evaluate_task(t) for t in tasks]
+    """Submit tasks and give their instances in task order, as an iterator.
+    On pool every chunk is queued at once, a relation's tasks in chunks of
+    len(tasks) // (workers * 4); in this process (pool None, a single task, or
+    a pool that cannot take them) each task is evaluated as it is read."""
+    if pool is not None and len(tasks) > 1:
+        try:
+            chunk = max(1, len(tasks) // (pool._max_workers * 4))
+            return pool.map(_evaluate_task, tasks, chunksize=chunk)
+        except OSError:
+            pass
+    return map(_evaluate_task, tasks)
 
 
 def _judged(rel: RelationDef, ctx: PrecisionCtx, instances, minimum: int) -> RelationReport:
-    """The report on a relation's evaluated instances, under the one verdict
-    rule stated in check_relation."""
+    """The report on a relation's evaluated instances, an iterable read once,
+    under the one verdict rule stated in check_relation."""
+    instances = tuple(instances)
     identity_floor = 10.0 ** (-ctx.digits / 3)
     counterexample = None
     all_within = True
@@ -700,10 +721,31 @@ def _judged(rel: RelationDef, ctx: PrecisionCtx, instances, minimum: int) -> Rel
     else:
         verdict = "inconclusive"
     return RelationReport(
-        relation_id=rel.relation_id, anchor=rel.anchor, samples=tuple(instances),
+        relation_id=rel.relation_id, anchor=rel.anchor, samples=instances,
         verdict=verdict, worst_rel_residual=worst, counterexample=counterexample,
         transcription_flags=tuple(rel.transcription()) if rel.transcription else (),
         n_converged=n_conv)
+
+
+def _submitted(relation_id: str, n_samples: int, seed: int, ctx: PrecisionCtx, pool):
+    """Plan one relation and submit its tasks through _run_tasks: the
+    (RelationDef, minimum converged count, instance iterator) that _judged
+    reads.  Probes and grid points are built here, in this process, and travel
+    with their tasks; random samples are drawn by index where they are
+    evaluated."""
+    rel = RELATIONS[relation_id]
+    rel_seed = _relation_seed(seed, relation_id)
+    if rel.fixed_grid is not None:
+        grid = rel.fixed_grid(ctx)
+        work = [("grid", p) for p in grid]
+        minimum = len(grid)
+    else:
+        work = ([("probe", p) for p in rel.probes(ctx)]
+                + [("sample", k) for k in range(n_samples)])
+        minimum = n_samples
+    tasks = [(relation_id, k, kind, sample, rel_seed, ctx)
+             for k, (kind, sample) in enumerate(work)]
+    return rel, minimum, _run_tasks(tasks, pool)
 
 
 def check_relation(relation_id: str, n_samples: int, seed: int, ctx: PrecisionCtx,
@@ -711,7 +753,10 @@ def check_relation(relation_id: str, n_samples: int, seed: int, ctx: PrecisionCt
     """Adjudicate one relation: deterministic probes plus n_samples random draws
     with margins in DEFAULT_WINDOW, or every point of its fixed grid.  The
     instances are evaluated on pool, an open worker_pool, or in this process
-    when pool is None; the report does not depend on which.
+    when pool is None; the report does not depend on which.  run_suite passes
+    instead its dict of relations already submitted by _submitted, keyed by
+    relation id, and this call judges the relation's submission as its
+    instances arrive.
 
     The verdict rule, over converged instances only: not_identity needs one
     whose residual clears both 0.01 and 100 x its evaluation bounds, or one
@@ -723,21 +768,11 @@ def check_relation(relation_id: str, n_samples: int, seed: int, ctx: PrecisionCt
     """
     if relation_id not in RELATIONS:
         raise UnknownRelation(relation_id)
-    rel = RELATIONS[relation_id]
-    rel_seed = _relation_seed(seed, relation_id)
-    # probes and grid points are built once here and travel with their tasks;
-    # random samples are drawn by index inside the workers
-    if rel.fixed_grid is not None:
-        grid = rel.fixed_grid(ctx)
-        work = [("grid", p) for p in grid]
-        minimum = len(grid)
+    if isinstance(pool, dict):
+        rel, minimum, instances = pool[relation_id]
     else:
-        work = ([("probe", p) for p in rel.probes(ctx)]
-                + [("sample", k) for k in range(n_samples)])
-        minimum = n_samples
-    tasks = [(relation_id, k, kind, sample, rel_seed, ctx)
-             for k, (kind, sample) in enumerate(work)]
-    return _judged(rel, ctx, _run_tasks(tasks, pool), minimum)
+        rel, minimum, instances = _submitted(relation_id, n_samples, seed, ctx, pool)
+    return _judged(rel, ctx, instances, minimum)
 
 
 def run_suite(seed: int, ctx: PrecisionCtx, samples: int = 100,
@@ -746,13 +781,16 @@ def run_suite(seed: int, ctx: PrecisionCtx, samples: int = 100,
 
     Residual evaluation is series-only, so no verdict feeds another.  The
     main recurrence always receives enough samples to touch every cell of the
-    (i, j) grid.  With threads > 1 one worker_pool serves every relation.
+    (i, j) grid.  Every relation is planned and its tasks submitted, in suite
+    order, before the first is judged; then check_relation judges each in
+    turn.  With threads > 1 one worker_pool takes all 29 relations' tasks in
+    that order, so its workers compute while this process plans and judges;
+    in one process each relation's instances are evaluated inside its own
+    check_relation call, as they are judged.
     """
-    reports = []
+    counts = {rid: max(samples, len(GRID)) if rid == "recurrence_16" else samples
+              for rid in SUITE_ORDER}
     with worker_pool(threads) as pool:
-        for rid in SUITE_ORDER:
-            n = samples
-            if rid == "recurrence_16":
-                n = max(samples, len(GRID))
-            reports.append(check_relation(rid, n, seed, ctx, pool=pool))
-    return reports
+        submitted = {rid: _submitted(rid, n, seed, ctx, pool) for rid, n in counts.items()}
+        return [check_relation(rid, n, seed, ctx, pool=submitted)
+                for rid, n in counts.items()]

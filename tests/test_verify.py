@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import hashlib
 import json
@@ -10,7 +11,7 @@ import mpmath
 import pytest
 from mpmath import mpf
 
-from watsonlab import closedform, verify
+from watsonlab import closedform, lattice, verify
 from watsonlab.cli import RunConfig, suite_document
 from watsonlab.lattice import WatsonPoint, eval_point
 from watsonlab.mpnum import PrecisionCtx
@@ -354,4 +355,93 @@ def test_pool_oserror_falls_back_to_serial(monkeypatch, serial_suite, fail_at):
         par = check_relation("case_1_0", 6, 0xC0FFEE, FAST, pool=pool)
     assert json.dumps(seq.as_dict(include_samples=True)) == \
         json.dumps(par.as_dict(include_samples=True))
+    assert _suite_bytes(2) == serial_suite
+
+
+def test_exact_probes_evaluated_once(monkeypatch):
+    # the parent evaluates each candidate probe to choose it, and the chosen
+    # probe's task carries that instance instead of evaluating it again
+    calls = collections.Counter()
+    real = lattice.recurrence_residual
+
+    def counted(p, ctx, **kwargs):
+        calls[(p.a, p.b, p.c, p.i, p.j)] += 1
+        return real(p, ctx, **kwargs)
+
+    monkeypatch.setattr(lattice, "recurrence_residual", counted)
+    rep = check_relation("case_1_0", 2, 0xC0FFEE, FAST)
+    probes = [s for s in rep.samples if s.kind == "probe"]
+    assert len(probes) == 3
+    for s in probes:
+        assert calls[(s.params["a"], s.params["b"], s.params["c"], *s.lattice_indices)] == 1
+    assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_each_relation_evaluated_and_judged_in_its_own_check(monkeypatch, serial_suite,
+                                                             threads):
+    # perfbench times each top-level check_relation call as one relation's
+    # latency: in one process every task is evaluated inside its own
+    # relation's call; with a pool every relation is submitted before the
+    # first call, and each relation's call is entered once, in suite order
+    entered, open_checks, evaluated, maps = [], [], [], []
+    real_check, real_task = verify.check_relation, verify._evaluate_task
+
+    def check(*args, **kwargs):
+        entered.append(args[0])
+        open_checks.append(args[0])
+        try:
+            return real_check(*args, **kwargs)
+        finally:
+            open_checks.pop()
+
+    def task(t):
+        evaluated.append(t[0])
+        assert open_checks == [t[0]]
+        return real_task(t)
+
+    class MappedPool(concurrent.futures.ProcessPoolExecutor):
+        def map(self, *args, **kwargs):
+            maps.append(len(entered))
+            return super().map(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "check_relation", check)
+    if threads == 1:
+        monkeypatch.setattr(verify, "_evaluate_task", task)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", MappedPool)
+    assert _suite_bytes(threads) == serial_suite
+    assert entered == list(SUITE_ORDER)
+    if threads == 1:
+        assert set(evaluated) == set(SUITE_ORDER)
+        assert maps == []
+    else:
+        assert maps == [0] * len(SUITE_ORDER)
+
+
+def test_judging_error_cancels_queued_tasks(monkeypatch):
+    submitted = []
+
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            future = super().submit(*args, **kwargs)
+            submitted.append(future)
+            return future
+
+    def failing(*args):
+        raise RuntimeError("judging failed")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+    monkeypatch.setattr(verify, "_judged", failing)
+    with pytest.raises(RuntimeError, match="judging failed"):
+        verify.run_suite(7, FAST, samples=50, threads=2)
+    assert not multiprocessing.active_children()
+    assert submitted and any(f.cancelled() for f in submitted)
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_suite_bytes_under_every_start_method(monkeypatch, serial_suite, method):
+    # Python 3.14 makes forkserver the default start method on Linux
+    context = multiprocessing.get_context(method)
+    monkeypatch.setattr(verify, "worker_pool", lambda threads: (
+        concurrent.futures.ProcessPoolExecutor(max_workers=2, mp_context=context)))
     assert _suite_bytes(2) == serial_suite
