@@ -134,8 +134,7 @@ def draw_points(ctx, seed, count):
 
 def scan_both(f, ctx, tol, M):
     """(new, frozen) scan results at the working precision _accelerated_unit uses for M."""
-    target_digits = max(ctx.digits, int(-mpmath.log10(tol)) + 2)
-    prec = int((target_digits + int(0.55 * M) + 15) * 3.3322) + 20
+    prec = series._levin_prec(ctx.digits, tol, M)
     with mpmath.workprec(prec):
         nums, dens = series._raw(f.numerators), series._raw(f.denominators)
         new = series._levin_scan(islice(series._terms(nums, dens, None, prec), M), M, tol)

@@ -136,7 +136,7 @@ def _convergent_or_terminating(p: WatsonPoint, ctx: PrecisionCtx, label: str) ->
 
 
 def near_zero(value, guard) -> bool:
-    """The zero-factor rule: value is 0, or its float lies within guard of 0."""
+    """_linear_relation's zero-factor rule: value is 0 or its float is within guard."""
     return value == 0 or abs(float(to_mpf_ambient(value))) < guard
 
 
@@ -212,7 +212,7 @@ def recurrence_residual(p: WatsonPoint, ctx: PrecisionCtx, tol=None,
 
 
 def _recurrence_points(p: WatsonPoint):
-    """Zero factors and points of the main recurrence."""
+    """Zero factors and points of the main recurrence, the unit-shifted one last."""
     a, b, c, i, j = p.a, p.b, p.c, p.i, p.j
     return ((("a+b+i+1", a + b + i + 1), ("2c+j", 2 * c + j), ("2c+j+1", 2 * c + j + 1)),
             ((WatsonPoint(a, b, c, i, j + 1), "f_{i,j+1}(a,b,c)"), (p, "f_{i,j}(a,b,c)"),
@@ -220,7 +220,7 @@ def _recurrence_points(p: WatsonPoint):
 
 
 def _three_term_points(p: WatsonPoint):
-    """Zero factors and points of the cross-lattice three-term relation."""
+    """Zero factors and points of the three-term relations, the unit-shifted one last."""
     a, b, c, i, j = p.a, p.b, p.c, p.i, p.j
     with mpmath.workprec(_carried_prec(a, b, c)):
         left_shift = WatsonPoint(a - 1, b, c, i + 1, j)

@@ -875,14 +875,18 @@ def _levin_scan(terms, M: int, tol):
             _make_mpf(from_man_exp(best[0], best[1] + 1)), best_k)
 
 
+def _levin_prec(digits: int, tol, M: int) -> int:
+    """The accelerated route's working bits at tolerance tol over M partial sums."""
+    target_digits = max(digits, int(-mpmath.log10(tol)) + 2)
+    return int((target_digits + int(0.55 * M) + 15) * 3.3322) + 20
+
+
 def _accelerated_unit(f: PFQ, ctx: PrecisionCtx, tol, max_partial: int) -> EvalResult:
     """Levin-accelerated unit-argument evaluation with adaptive depth."""
-    target_digits = max(ctx.digits, int(-mpmath.log10(tol)) + 2)
     M = min(_ACCEL_START, max_partial)
     value, bound = None, mpmath.inf
     while True:
-        internal = target_digits + int(0.55 * M) + 15
-        prec = int(internal * 3.3322) + 20
+        prec = _levin_prec(ctx.digits, tol, M)
         with mpmath.workprec(prec):
             terms = _terms(_raw(f.numerators), _raw(f.denominators), None, prec)
             value, bound, _ = _levin_scan(islice(terms, M), M, tol)

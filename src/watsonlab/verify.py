@@ -21,10 +21,10 @@ not_identity; every residual inside max(10^(-digits/3), 100 x its bounds) with
 enough converged instances, and never fewer than one, gives identity; anything
 else is inconclusive.
 
-A sampler rejects a draw when a gamma argument or series parameter of its
-relation's evaluator lies within pole_guard of a nonpositive integer, or a
-zero factor within pole_guard of 0; both lists come from the evaluators'
-own definitions (SampleConstraints).
+A sampler rejects a draw when a value on its one list, the gamma arguments
+and series parameters its relation's evaluator is built from, lies within
+pole_guard of a nonpositive integer; SampleConstraints says why that list
+covers the evaluator's other refusals.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ import mpmath
 from mpmath import mpf
 
 from . import closedform, lattice
-from .mpnum import (NumeratorPole, PrecisionCtx, gamma_product, nearest_nonpos_int,
-                    to_mpf_ambient)
+from .mpnum import NumeratorPole, PrecisionCtx, gamma_product, to_mpf_ambient
 from .report import RelationInstance, RelationReport, finish_instance
 from .series import PFQ, SeriesError, eval_exact, eval_general, eval_unit
 
@@ -104,10 +103,14 @@ class SampleConstraints:
 
     solve_c pins the relation's tightest constituent margin to the drawn s;
     margins lists only the constituent margins solve_c does not fix, each of
-    which must not fall below the window.  values(a, b, c) gives (every gamma
-    argument and series parameter the evaluator is built from, every factor it
-    refuses near 0), read from the evaluator's own definitions: gamma_arguments,
-    to_pfq of the lattice relations' points, _thomae_parts.
+    which must not fall below the window.  values(a, b, c) lists what a draw
+    must keep pole_guard away from the nonpositive integers, read from the
+    evaluator's own definitions: gamma_arguments, to_pfq of the lattice
+    relations' points, _thomae_parts.  That test at one guard implies what is
+    not listed: a lattice zero factor is a listed denominator or twice one,
+    each parameter of a lattice relation's last, unit-shifted point is a
+    listed x or x + 1, and each Thomae prefactor argument is a parameter of
+    its series.
     """
 
     solve_c: Callable
@@ -123,14 +126,13 @@ def sample_params(seed: int, index: int, constraints: SampleConstraints,
     on [0.1, 3.0], and c is solved so the tightest constituent margin hits the
     drawn s in window = (s_lo, s_hi).  Bounded retries reject triples with a
     margin of constraints.margins (those solve_c does not fix) below s_lo, or
-    whose constraints.values come too close to a pole or to 0, and raise
-    SamplingExhausted after 1000, or at once for an empty window.
+    with constraints.values near a pole, and raise SamplingExhausted after
+    1000, or at once for an empty window.
     """
     s_lo, s_hi = window
     if s_lo > s_hi:
         raise SamplingExhausted(f"empty margin window {window} (seed={seed}, index={index})")
     rng = SplitMix64((seed ^ index) & MASK64)
-    guard = ctx.pole_guard
     with ctx.working():
         ab_span, s_span = _span(*_AB_RANGE), _span(s_lo, s_hi)
         for _ in range(1000):
@@ -140,9 +142,7 @@ def sample_params(seed: int, index: int, constraints: SampleConstraints,
             c = constraints.solve_c(a, b, s)
             if any(float(to_mpf_ambient(m)) < s_lo - 1e-9 for m in constraints.margins(a, b, c)):
                 continue
-            poles, zeros = constraints.values(a, b, c)
-            if (any(nearest_nonpos_int(v, guard) is not None for v in poles)
-                    or any(lattice.near_zero(v, guard) for v in zeros)):
+            if any(ctx.near_nonpos_int(v) is not None for v in constraints.values(a, b, c)):
                 continue
             return a, b, c
     raise SamplingExhausted(f"no admissible triple after 1000 retries (seed={seed}, index={index})")
@@ -177,12 +177,11 @@ def _series_params(*series: PFQ) -> list:
 
 
 def _lattice_constraints(points_of: Callable, i: int, j: int) -> SampleConstraints:
-    """A lattice relation at cell (i, j): points_of gives its zero factors and
-    points at a WatsonPoint, as its evaluator takes them."""
+    """A lattice relation at cell (i, j), listing the series of all but the last
+    point that points_of gives at a WatsonPoint, as its evaluator takes them."""
     def values(a, b, c):
-        factors, points = points_of(lattice.WatsonPoint(a, b, c, i, j))
-        return (_series_params(*(lattice.to_pfq(q) for q, _ in points)),
-                [v for _, v in factors])
+        _, (*listed, _shifted) = points_of(lattice.WatsonPoint(a, b, c, i, j))
+        return _series_params(*(lattice.to_pfq(q) for q, _ in listed))
     return SampleConstraints(solve_c=_solve_c_ij(i, j), values=values)
 
 
@@ -204,7 +203,7 @@ def _form_constraints(form_id: str) -> SampleConstraints:
         solve_c=((lambda a, b, s: s + a + b) if form_id == "gauss"
                  else _solve_c_ij(0, _FORM_ROW_J[form_id])),
         values=lambda a, b, c: (_series_params(_form_series(form_id, a, b, c))
-                                + closedform.gamma_arguments(form_id, a, b, c), []))
+                                + closedform.gamma_arguments(form_id, a, b, c)))
 
 
 def _thomae_parts(a, b, c):
@@ -216,11 +215,6 @@ def _thomae_parts(a, b, c):
     s = d + e - a - b - c
     return (PFQ((a, b, c), (d, e), 1), PFQ((d - a, e - a, s), (b + s, c + s), 1),
             [d, e, s], [a, b + s, c + s])
-
-
-def _thomae_values(a, b, c):
-    lhs_f, rhs_f, pref_nums, pref_dens = _thomae_parts(a, b, c)
-    return _series_params(lhs_f, rhs_f) + pref_nums + pref_dens, []
 
 
 # --- evaluators -------------------------------------------------------------
@@ -600,7 +594,8 @@ RELATIONS = {rel.relation_id: rel for rel in (
         anchor="fundamental 3F2(1) transformation with d=(a+b+1)/2, e=2c",
         expected_identity=True,
         build_sample=partial(_sample_abc, SampleConstraints(
-            _solve_c_ij(0, 0), _thomae_values, margins=lambda a, b, c: [a])),
+            _solve_c_ij(0, 0), lambda a, b, c: _series_params(*_thomae_parts(a, b, c)[:2]),
+            margins=lambda a, b, c: [a])),
         evaluate=_thomae_instance,
         probes=partial(_given_probes, _ABC,
                        ((Fraction(0), Fraction(3, 2), Fraction(5, 4)),

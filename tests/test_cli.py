@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 from fractions import Fraction
@@ -177,6 +178,16 @@ def test_check_json_and_csv(capsys):
     assert header.startswith("relation_id,index,kind,i,j,param_a")
 
 
+def test_check_recurrence_csv_has_a_row_for_every_grid_cell(capsys):
+    # README names this CSV for the main recurrence's residual per grid cell
+    code, out, _ = run(capsys, "check", "recurrence_16", "--samples", str(len(GRID)),
+                       "--digits", "20", "--threads", "1", "--output", "csv")
+    assert code == 0
+    rows = [r for r in csv.DictReader(io.StringIO(out)) if r["kind"] == "sample"]
+    assert sorted((int(r["i"]), int(r["j"])) for r in rows) == sorted(GRID)
+    assert all(float(r["rel_residual"]) < 1e-6 for r in rows)
+
+
 def test_reduce_text(capsys):
     code, out, _ = run(capsys, "reduce", "-a", "1", "-b", "1", "-c", "1", "-j", "1",
                        "--digits", "25")
@@ -270,31 +281,6 @@ def test_suite_out_path_failure(capsys):
                        "--out", "/nonexistent-dir/report.json")
     assert code == 2
     assert "cannot write" in err
-
-
-def test_residual_sweep_cell_without_converged_sample(capsys, monkeypatch):
-    import importlib.util
-    import sys
-    from dataclasses import replace
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[1] / "scripts" / "residual_sweep.py"
-    spec = importlib.util.spec_from_file_location("residual_sweep", path)
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
-    real = sweep.recurrence_residual
-
-    def residual(p, ctx, tol=None):
-        inst = real(p, ctx, tol=tol)
-        return replace(inst, converged=False) if (p.i, p.j) == (0, 0) else inst
-
-    monkeypatch.setattr(sweep, "recurrence_residual", residual)
-    monkeypatch.setattr(sys, "argv", ["residual_sweep.py", "--digits", "15",
-                                      "--per-cell", "1"])
-    assert sweep.main() == 0
-    out = capsys.readouterr().out
-    assert "(i=+0, j=+0)  no converged sample among 1 samples" in out
-    assert "worst over the whole grid: " in out
 
 
 def test_direct_skip_audit_counts_and_fails_on_unsound_skip(capsys, monkeypatch):

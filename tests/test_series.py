@@ -490,7 +490,7 @@ def test_levin_scan_draws_terms_only_to_its_break(monkeypatch):
     f = _watson_pfq(Fraction(13, 10), Fraction(7, 10), Fraction(1, 2), 0, 0)
     tol = CTX.mpf(mpf(10) ** -20)
     M = 32
-    prec = int((30 + int(0.55 * M) + 15) * 3.3322) + 20    # as _accelerated_unit at digits 30
+    prec = series._levin_prec(CTX.digits, tol, M)
     orders, pulled = [], []
     real_row = series._levin_row
 

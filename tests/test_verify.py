@@ -82,6 +82,64 @@ def test_sampler_draws_match_parent_digest():
     assert h.hexdigest() == SAMPLER_DIGEST
 
 
+def _exact_mpf(v):
+    man, exp = v.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def _series_values(*series):
+    return {v for f in series for v in (*f.numerators, *f.denominators)}
+
+
+def test_lattice_sampler_lists_imply_the_refusals_they_leave_out():
+    # a lattice sampler lists the series values of all its evaluator's points
+    # but the last; a pole test on that list must cover the zero factors
+    # (each a listed value or twice one) and every point's series (each value
+    # a listed one plus 0 or 1).  Checked in exact rationals at seeded draws
+    # and exact probe triples, on every cell of every lattice relation.
+    ctx = PrecisionCtx(15)
+    lattice_rels = [rid for rid, rel in RELATIONS.items()
+                    if getattr(rel.evaluate, "func", None) is verify._lattice_instance]
+    assert len(lattice_rels) == 22
+    pools = verify._RECURRENCE_PROBE_POOL + verify._THREE_TERM_PROBE_POOL
+    checked = 0
+    for rid in lattice_rels:
+        points_of = (lattice._three_term_points if rid.startswith("three_term")
+                     else lattice._recurrence_points)
+        rel = RELATIONS[rid]
+        constraints_at = rel.build_sample.args[0]
+        walks = rid in ("recurrence_16", "three_term_printed", "three_term_corrected")
+        draws = [rel.build_sample(k, _relation_seed(0xC0FFEE, rid), ctx, verify.DEFAULT_WINDOW)
+                 for k in range(len(GRID) if walks else 3)]
+        cells = sorted({(s["i"], s["j"]) for s in draws})
+        triples = [(tuple(_exact_mpf(s[key]) for key in "abc"), (s["i"], s["j"]))
+                   for s in draws]
+        triples += [(t, cell) for t in pools for cell in cells]
+        for (a, b, c), (i, j) in triples:
+            listed = set(constraints_at(i, j).values(a, b, c))
+            factors, points = points_of(WatsonPoint(a, b, c, i, j))
+            for name, v in factors:
+                assert v in listed or v / 2 in listed, (rid, name, a, b, c, i, j)
+            for q, label in points:
+                for v in _series_values(lattice.to_pfq(q)):
+                    assert v in listed or v - 1 in listed, (rid, label, v, a, b, c, i, j)
+            checked += 1
+    assert checked == 3 * len(GRID) * (1 + len(pools)) + 19 * (3 + len(pools))
+
+
+def test_thomae_sampler_list_holds_every_prefactor_argument():
+    # the Thomae sampler lists its two series only: each gamma prefactor
+    # argument is a parameter of one of them
+    rel = RELATIONS["thomae"]
+    constraints = rel.build_sample.args[0]
+    for k in range(10):
+        s = rel.build_sample(k, _relation_seed(0xC0FFEE, "thomae"), CTX, verify.DEFAULT_WINDOW)
+        abc = [_exact_mpf(s[key]) for key in "abc"]
+        _, _, pref_nums, pref_dens = verify._thomae_parts(*abc)
+        listed = set(constraints.values(*abc))
+        assert all(v in listed for v in pref_nums + pref_dens)
+
+
 def test_identity_needs_a_converged_instance():
     # every macrobert probe has a numerator within 0.4999 of 0, so none
     # converges; with no random samples requested nothing supports identity
